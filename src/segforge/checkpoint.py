@@ -12,6 +12,7 @@ intact checkpoint.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -102,57 +103,83 @@ def save_checkpoint(path: str | os.PathLike, config: dict, model: Module,
 
 
 def load_checkpoint(path: str | os.PathLike) -> CheckpointData:
+    """Parse a checkpoint; a truncated or corrupt file raises FormatError with its byte offset."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except FileNotFoundError:
         raise DataError(f"checkpoint not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from None
     if len(blob) < len(MAGIC) + 4 or blob[:len(MAGIC)] != MAGIC:
         raise FormatError(f"not a checkpoint file: {path}")
-    off = len(MAGIC)
-    (version,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    if version != VERSION:
-        raise FormatError(f"unsupported checkpoint version {version} in {path}")
 
-    def take_doc(off):
-        (length,) = struct.unpack_from("<I", blob, off)
-        off += 4
+    def unpack(fmt, off, what):
+        size = struct.calcsize(fmt)
+        if off + size > len(blob):
+            raise FormatError(f"truncated checkpoint: {what} at byte {off} needs {size} bytes, "
+                              f"file ends at {len(blob)} in {path}")
+        return struct.unpack_from(fmt, blob, off), off + size
+
+    def take_doc(off, what):
+        (length,), off = unpack("<I", off, f"{what} length")
         if off + length > len(blob):
-            raise FormatError(f"truncated checkpoint document in {path}")
-        doc = json.loads(blob[off:off + length].decode("utf-8"))
+            raise FormatError(f"truncated {what} document at byte {off} in {path}")
+        try:
+            doc = json.loads(blob[off:off + length].decode("utf-8"))
+        except ValueError as exc:   # UnicodeDecodeError and JSONDecodeError both are
+            raise FormatError(f"corrupt {what} document at byte {off} in {path}: {exc}") from None
+        if not isinstance(doc, dict):
+            raise FormatError(f"{what} document at byte {off} is not an object in {path}")
         return doc, off + length
 
-    config, off = take_doc(off)
-    meta, off = take_doc(off)
-    (count,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    (version,), off = unpack("<I", len(MAGIC), "version")
+    if version != VERSION:
+        raise FormatError(f"unsupported checkpoint version {version} at byte {len(MAGIC)} "
+                          f"in {path}")
+    config, off = take_doc(off, "config")
+    meta_off = off
+    meta, off = take_doc(off, "meta")
+    try:
+        epoch, optimizer_step = int(meta["epoch"]), int(meta["optimizer_step"])
+    except (KeyError, TypeError, ValueError):
+        raise FormatError(f"meta document at byte {meta_off} lacks an integer epoch "
+                          f"and optimizer_step in {path}") from None
+    (count,), off = unpack("<I", off, "tensor count")
 
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off:off + name_len].decode("utf-8")
+        entry = off
+        (name_len,), off = unpack("<I", off, "tensor name length")
+        if off + name_len > len(blob):
+            raise FormatError(f"truncated tensor name at byte {off} in {path}")
+        try:
+            name = blob[off:off + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"corrupt tensor name at byte {off} in {path}") from None
         off += name_len
-        code, rank = struct.unpack_from("<BB", blob, off)
-        off += 2
+        (code, rank), off = unpack("<BB", off, f"dtype and rank of '{name}'")
         dtype = _DTYPE_CODES.get(code)
         if dtype is None:
-            raise FormatError(f"unknown dtype code {code} for '{name}' in {path}")
-        dims = struct.unpack_from(f"<{rank}I", blob, off) if rank else ()
-        off += 4 * rank
-        n = int(np.prod(dims)) if dims else 1
+            raise FormatError(f"unknown dtype code {code} for '{name}' at byte {off - 2} "
+                              f"in {path}")
+        dims, off = unpack(f"<{rank}I", off, f"dims of '{name}'")
+        n = math.prod(dims)
         end = off + n * dtype.itemsize
         if end > len(blob):
-            raise FormatError(f"truncated tensor '{name}' in {path}")
-        arr = np.frombuffer(blob, dtype=dtype, count=n, offset=off).reshape(dims)
+            raise FormatError(f"truncated tensor '{name}' (entry at byte {entry}) in {path}")
+        try:
+            arr = np.frombuffer(blob, dtype=dtype, count=n, offset=off).reshape(dims)
+        except ValueError:   # more dims than numpy allows, or a size-0 overflowing shape
+            raise FormatError(f"bad shape {dims} of '{name}' (entry at byte {entry}) "
+                              f"in {path}") from None
         arrays[name] = arr.astype(dtype.newbyteorder("="), copy=True)
         off = end
     if off != len(blob):
-        raise FormatError(f"{len(blob) - off} trailing bytes in {path}")
+        raise FormatError(f"{len(blob) - off} trailing bytes at byte {off} in {path}")
 
-    return CheckpointData(config=config, arrays=arrays, epoch=int(meta["epoch"]),
-                          best=meta.get("best"), optimizer_step=int(meta["optimizer_step"]))
+    return CheckpointData(config=config, arrays=arrays, epoch=epoch,
+                          best=meta.get("best"), optimizer_step=optimizer_step)
 
 
 def apply_arrays(model: Module, ckpt: CheckpointData) -> None:

@@ -3,6 +3,19 @@
 Every functional op records a single tape node with an analytic backward
 rule. Convolution is cross-correlation (no kernel flip) over zero-padded
 input, implemented as im2col plus one matrix multiply; weights are OIHW.
+
+im2col rows are output pixels and columns run in (c, kh, kw) order, so the
+weight matrix is the OIHW tensor reshaped in place. For 3x3 kernels the
+gather pads the input once into a channels-last buffer and fills the
+(n, oh, ow, c, kh, kw) matrix with nine strided slice copies, each running
+over channels; col2im adds the same nine slices back into a zeroed
+channels-last buffer, row-major over (kh, kw), and transposes to NCHW once.
+Other kernels copy a transposed sliding-window view and scatter in NCHW:
+the window copy is faster for the 3-channel 7x7 stem and no slower for 1x1.
+For any kernel the two paths build the same matrix and sum gradients in the
+same order, so the choice never changes a bit. A (kh, kw, c) column order
+would make the gather cheaper still, but it changes the GEMM's reduction
+order and so the last bits of every output.
 """
 
 from __future__ import annotations
@@ -45,12 +58,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     if bias is not None and bias.shape != (oc,):
         raise ShapeError(f"conv2d bias must have shape ({oc},), got {bias.shape}")
 
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * oh * ow, c * kh * kw)
+    cols = _image_to_cols(x.data, (kh, kw), (oh, ow), stride, padding)
     wmat = weight.data.reshape(oc, -1)
     flat = cols @ wmat.T
     if bias is not None:
@@ -73,12 +81,40 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     return record("conv2d", inputs, out, grad_fn)
 
 
+def _image_to_cols(x, ksize, osize, stride, padding):
+    """im2col: [n*oh*ow, c*kh*kw] patch rows, columns in (c, kh, kw) order."""
+    n, c, h, w = x.shape
+    kh, kw = ksize
+    oh, ow = osize
+    if (kh, kw) == (3, 3):
+        xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
+        xp[:, padding:padding + h, padding:padding + w] = x.transpose(0, 2, 3, 1)
+        cols = np.empty((n, oh, ow, c, kh, kw), dtype=x.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                cols[..., i, j] = xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
+        return cols.reshape(n * oh * ow, c * kh * kw)
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * oh * ow, c * kh * kw)
+
+
 def _cols_to_image(gcols, x_shape, ksize, osize, stride, padding):
+    """col2im: sum each patch-row gradient back onto its input pixels, NCHW out."""
     n, c, h, w = x_shape
     kh, kw = ksize
     oh, ow = osize
-    gc = gcols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
     hp, wp = h + 2 * padding, w + 2 * padding
+    gc = gcols.reshape(n, oh, ow, c, kh, kw)
+    if (kh, kw) == (3, 3):
+        gxp = np.zeros((n, hp, wp, c), dtype=gcols.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                gxp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += gc[..., i, j]
+        return np.ascontiguousarray(
+            gxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2))
+    gc = gc.transpose(0, 3, 1, 2, 4, 5)
     gxp = np.zeros((n, c, hp, wp), dtype=gcols.dtype)
     for i in range(kh):
         for j in range(kw):

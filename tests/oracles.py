@@ -80,6 +80,55 @@ def naive_matmul(a, b):
 
 
 # ---------------------------------------------------------------------------
+# im2col reference: the NCHW window-copy lowering conv2d used for every kernel
+# before 3x3 kernels got their own gather. The package must reproduce it bit
+# for bit: the same `cols` into the same GEMMs, gradients summed in the same
+# order.
+
+
+def window_im2col(x, ksize, osize, stride, padding):
+    n, c, h, w = x.shape
+    kh, kw = ksize
+    oh, ow = osize
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]
+    return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * oh * ow, c * kh * kw)
+
+
+def nchw_cols_to_image(gcols, x_shape, ksize, osize, stride, padding):
+    n, c, h, w = x_shape
+    kh, kw = ksize
+    oh, ow = osize
+    gc = gcols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    gxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=gcols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += gc[:, :, :, :, i, j]
+    return np.ascontiguousarray(gxp[:, :, padding:padding + h, padding:padding + w])
+
+
+def reference_conv2d(x, w, b, stride, padding, g):
+    """conv2d on the reference lowering: (out, gx, gw, gb) for upstream gradient g."""
+    n, c, h, wd = x.shape
+    oc, _, kh, kw = w.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (wd + 2 * padding - kw) // stride + 1
+    cols = window_im2col(x, (kh, kw), (oh, ow), stride, padding)
+    wmat = w.reshape(oc, -1)
+    flat = cols @ wmat.T
+    if b is not None:
+        flat += b
+    out = np.ascontiguousarray(flat.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2))
+    g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, oc)
+    gw = (g2.T @ cols).reshape(w.shape)
+    gb = g.sum(axis=(0, 2, 3)) if b is not None else None
+    gx = nchw_cols_to_image(g2 @ wmat, x.shape, (kh, kw), (oh, ow), stride, padding)
+    return out, gx, gw, gb
+
+
+# ---------------------------------------------------------------------------
 # metric oracles (pure python int counting)
 
 

@@ -144,6 +144,22 @@ class TestEvalCommand:
         assert run_cli("eval", "--ckpt", str(tmp_path / "none.ckpt"),
                        "--data", TINY_ROOT) == 3
 
+    def test_corrupt_checkpoint_is_data_error(self, cli_run, tmp_path, capsys):
+        blob = (cli_run / "last.ckpt").read_bytes()
+        doc = blob.index(b'{"batch_size"')    # the config document
+        entry = blob.index(b"param:") - 4     # the first tensor entry
+        corrupt = [blob[:doc + 40],                                   # truncated document
+                   blob[:doc + 40] + b"\xff" + blob[doc + 41:],      # not UTF-8
+                   blob[:doc] + b"[" + blob[doc + 1:],                # not JSON
+                   blob[:entry + 2],                                  # truncated entry header
+                   blob[:-1]]                                         # truncated tensor data
+        bad = tmp_path / "bad.ckpt"
+        for data in corrupt:
+            bad.write_bytes(data)
+            assert run_cli("eval", "--ckpt", str(bad), "--data", TINY_ROOT) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and "at byte" in err
+
 
 class TestPredictCommand:
     def test_predict_case_directory(self, cli_run, tmp_path, capsys):

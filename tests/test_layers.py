@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from segforge.errors import ContractError, ShapeError
-from segforge.layers import (BatchNorm2d, Conv2d, Dense, Module, batch_norm,
-                             concat_channels, conv2d, dense, global_avg_pool,
-                             maxpool2d, upsample_nearest)
-from segforge.tensor import Tensor, backward
+from segforge.layers import (BatchNorm2d, Conv2d, Dense, Module, _cols_to_image,
+                             _image_to_cols, batch_norm, concat_channels, conv2d,
+                             conv_out_size, dense, global_avg_pool, maxpool2d,
+                             upsample_nearest)
+from segforge.tensor import Tensor, backward, mul
 
-from oracles import grad_check, naive_conv2d, naive_maxpool2d
+from oracles import (grad_check, naive_conv2d, naive_maxpool2d, nchw_cols_to_image,
+                     reference_conv2d, window_im2col)
 
 
 def randt(seed, *dims, scale=1.0):
@@ -67,6 +69,50 @@ class TestConv2d:
         assert names["weight"].shape == (8, 3, 3, 3)
         layer = Conv2d(3, 8, 3, bias=False)
         assert set(dict(layer.named_parameters())) == {"weight"}
+
+
+class TestIm2colLowering:
+    """The lowering is bit-identical to the window-copy reference, not just close."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [1, 3, 7])
+    def test_cols_and_image_gradient_equal_reference(self, kernel, stride, dtype):
+        rng = np.random.default_rng(kernel * 10 + stride)
+        for padding in range(4):
+            for c in (1, 3, 16):
+                n, h, w = 2, 8, 11
+                oh = conv_out_size(h, kernel, stride, padding)
+                ow = conv_out_size(w, kernel, stride, padding)
+                args = ((kernel, kernel), (oh, ow), stride, padding)
+                x = rng.standard_normal((n, c, h, w)).astype(dtype)
+                cols = _image_to_cols(x, *args)
+                assert cols.dtype == dtype
+                assert np.array_equal(cols, window_im2col(x, *args))
+                gcols = rng.standard_normal(cols.shape).astype(dtype)
+                gx = _cols_to_image(gcols, x.shape, *args)
+                assert gx.dtype == dtype and gx.flags.c_contiguous
+                assert np.array_equal(gx, nchw_cols_to_image(gcols, x.shape, *args))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel,stride,padding", [(1, 1, 0), (1, 2, 0), (3, 1, 1),
+                                                       (3, 2, 1), (3, 1, 0), (7, 2, 3)])
+    def test_conv2d_forward_and_backward_equal_reference(self, kernel, stride, padding, dtype):
+        rng = np.random.default_rng(kernel + stride + padding)
+        for bias in (True, False):
+            x = Tensor(rng.standard_normal((2, 16, 12, 10)).astype(dtype), requires_grad=True)
+            w = Tensor(rng.standard_normal((8, 16, kernel, kernel)).astype(dtype),
+                       requires_grad=True)
+            b = Tensor(rng.standard_normal(8).astype(dtype), requires_grad=True) if bias else None
+            out = conv2d(x, w, b, stride, padding)
+            g = rng.standard_normal(out.shape).astype(dtype)
+            backward(mul(out, Tensor(g)).sum())   # upstream gradient into conv2d is exactly g
+            want = reference_conv2d(x.data, w.data, b.data if bias else None, stride, padding, g)
+            assert np.array_equal(out.data, want[0])
+            assert np.array_equal(x.grad, want[1])
+            assert np.array_equal(w.grad, want[2])
+            if bias:
+                assert np.array_equal(b.grad, want[3])
 
 
 class TestMaxPool:

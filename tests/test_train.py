@@ -13,6 +13,7 @@ from segforge.data import (MODALITIES, extract_slices, load_data_root,
                            synth_case, write_case)
 from segforge.errors import (ConfigError, ContractError, DataError,
                              FormatError, NumericError)
+from segforge.layers import BatchNorm2d, Conv2d, Module
 from segforge.metrics import (binary_dice, binary_iou, mean_iou,
                               pixel_accuracy)
 from segforge.model import PRESETS, build_model
@@ -319,6 +320,35 @@ class TestCheckpoint:
             load_checkpoint(bad)
         with pytest.raises(DataError):
             load_checkpoint(tmp_path / "missing.ckpt")
+
+    def test_every_truncation_and_byte_flip_is_a_typed_error(self, tmp_path):
+        class Small(Module):
+            def __init__(self):
+                self.conv = Conv2d(3, 2, 3)
+                self.bn = BatchNorm2d(2)
+
+        model = Small()
+        path = tmp_path / "small.ckpt"
+        save_checkpoint(path, run_preset("desk").to_dict(), model,
+                        Adam(dict(model.named_parameters())), epoch=2,
+                        best={"epoch": 1, "dice": 0.25})
+        blob = path.read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        for end in range(len(blob)):
+            bad.write_bytes(blob[:end])
+            with pytest.raises(FormatError, match="byte|not a checkpoint"):
+                load_checkpoint(bad)
+        rejected = 0
+        for pos in range(len(blob)):
+            for mask in (0x01, 0x80, 0xFF):
+                flipped = bytearray(blob)
+                flipped[pos] ^= mask
+                bad.write_bytes(flipped)
+                try:
+                    load_checkpoint(bad)   # a flip inside tensor data still parses
+                except DataError:          # FormatError is a DataError
+                    rejected += 1
+        assert rejected > len(blob)
 
     def test_apply_rejects_architecture_mismatch(self, tmp_path):
         model = build_model(PRESETS["desk"])
