@@ -37,6 +37,8 @@ class ModelConfig:
             raise ConfigError(f"decoder_channels must have 5 entries, got {self.decoder_channels}")
         if any(d < 1 for d in self.stage_depths):
             raise ConfigError(f"stage depths must be positive, got {self.stage_depths}")
+        if self.reduction < 1:
+            raise ConfigError(f"reduction must be positive, got {self.reduction}")
         if self.stem_width % self.reduction:
             raise ConfigError(f"stem_width {self.stem_width} not divisible by reduction {self.reduction}")
 
@@ -53,11 +55,13 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"model config must be an object, got {type(d).__name__}")
         kwargs = dict(d)
-        for key in ("stage_depths", "decoder_channels"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
         try:
+            for key in ("stage_depths", "decoder_channels"):
+                if key in kwargs:
+                    kwargs[key] = tuple(kwargs[key])
             return cls(**kwargs)
         except TypeError as exc:
             raise ConfigError(f"bad model config: {exc}") from None

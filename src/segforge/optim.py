@@ -53,10 +53,6 @@ class Adam:
             vhat = v / bc2
             p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Moment buffers keyed for checkpointing."""
         out = {}

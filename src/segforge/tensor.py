@@ -80,12 +80,6 @@ class Tensor:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -216,41 +210,6 @@ def backward(loss: Tensor) -> None:
                 t.grad = g if t.grad is None else t.grad + g
     finally:
         tape.clear()
-
-
-# ---------------------------------------------------------------------------
-# creation
-
-
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def zeros(dims, requires_grad: bool = False, dtype=np.float32) -> Tensor:
-    return Tensor(np.zeros(check_dims(dims), dtype=dtype), requires_grad)
-
-
-def ones(dims, requires_grad: bool = False, dtype=np.float32) -> Tensor:
-    return Tensor(np.ones(check_dims(dims), dtype=dtype), requires_grad)
-
-
-def full(dims, value: float, requires_grad: bool = False, dtype=np.float32) -> Tensor:
-    return Tensor(np.full(check_dims(dims), value, dtype=dtype), requires_grad)
-
-
-def uniform(dims, seed, low: float = 0.0, high: float = 1.0,
-            requires_grad: bool = False, dtype=np.float32) -> Tensor:
-    """Seeded uniform fill; the same seed always yields identical data."""
-    data = _rng(seed).uniform(low, high, check_dims(dims)).astype(dtype)
-    return Tensor(data, requires_grad)
-
-
-def normal(dims, seed, mean: float = 0.0, std: float = 1.0,
-           requires_grad: bool = False, dtype=np.float32) -> Tensor:
-    data = _rng(seed).normal(mean, std, check_dims(dims)).astype(dtype)
-    return Tensor(data, requires_grad)
 
 
 # ---------------------------------------------------------------------------

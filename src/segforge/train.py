@@ -22,8 +22,8 @@ from .data import (DEFAULT_CROP, MIN_FOREGROUND_DEFAULT, NUM_CLASSES, TRAIN_FRAC
                    SliceRecord, crop_offsets, extract_slices, load_case,
                    load_data_root, make_batch, split_dataset)
 from .errors import ConfigError, DataError
-from .metrics import (binary_dice, binary_iou, cross_entropy_loss, dice_score,
-                      logits_to_labels, mean_iou, pixel_accuracy, soft_dice_loss)
+from .metrics import (_confusion_matrix, _confusion_scores, cross_entropy_loss,
+                      logits_to_labels, soft_dice_loss)
 from .model import ModelConfig, PRESETS, build_model
 from .nifti import write_nifti
 from .optim import Adam
@@ -134,6 +134,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"run config must be an object, got {type(d).__name__}")
         known = {"model", "optimizer", "epochs", "batch_size", "seed", "data_root",
                  "split", "crop", "loss", "min_foreground", "val_on_train", "output_dir"}
         unknown = set(d) - known
@@ -155,7 +157,7 @@ class RunConfig:
                 val_on_train=bool(d.get("val_on_train", base.val_on_train)),
                 output_dir=str(d.get("output_dir", base.output_dir)),
             )
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad run config: {exc}") from None
 
 
@@ -210,56 +212,30 @@ class MetricRecord:
 
 
 class MetricAccumulator:
-    """Pools integer pixel counts across batches.
+    """Pools a confusion matrix and the loss across batches.
 
-    Produces the same numbers as the metric functions applied to the stacked
-    masks, because both reduce to ratios of the pooled counts.
+    Its scores equal the metric functions applied to the stacked masks,
+    because both are ratios of the same pooled pixel counts.
     """
 
     def __init__(self, num_classes: int = NUM_CLASSES):
-        self.num_classes = num_classes
-        self.inter = np.zeros(num_classes, dtype=np.int64)
-        self.psum = np.zeros(num_classes, dtype=np.int64)
-        self.tsum = np.zeros(num_classes, dtype=np.int64)
-        self.bin_inter = 0
-        self.bin_p = 0
-        self.bin_t = 0
-        self.correct = 0
-        self.total = 0
+        self.confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
         self.loss_sum = 0.0
         self.loss_n = 0
 
     def update(self, pred: np.ndarray, target: np.ndarray) -> None:
-        for c in range(self.num_classes):
-            pc = pred == c
-            tc = target == c
-            self.inter[c] += np.count_nonzero(pc & tc)
-            self.psum[c] += np.count_nonzero(pc)
-            self.tsum[c] += np.count_nonzero(tc)
-        pb = pred != 0
-        tb = target != 0
-        self.bin_inter += int(np.count_nonzero(pb & tb))
-        self.bin_p += int(np.count_nonzero(pb))
-        self.bin_t += int(np.count_nonzero(tb))
-        self.correct += int(np.count_nonzero(pred == target))
-        self.total += pred.size
+        self.confusion += _confusion_matrix(pred, target, len(self.confusion))
 
     def add_loss(self, value: float, n: int) -> None:
         self.loss_sum += value * n
         self.loss_n += n
 
     def record(self, epoch: int, split: str) -> MetricRecord:
-        denom = self.bin_p + self.bin_t
-        dice = 1.0 if denom == 0 else 2.0 * self.bin_inter / denom
-        union = denom - self.bin_inter
-        iou = 1.0 if union == 0 else self.bin_inter / union
-        unions = self.psum + self.tsum - self.inter
-        present = unions > 0
-        miou = float(np.mean(self.inter[present] / unions[present])) if present.any() else 1.0
-        acc = self.correct / self.total if self.total else 0.0
+        scores = _confusion_scores(self.confusion)
         loss = self.loss_sum / self.loss_n if self.loss_n else 0.0
-        return MetricRecord(epoch=epoch, split=split, loss=loss, dice=dice, iou=iou,
-                            mean_iou=miou, accuracy=acc)
+        return MetricRecord(epoch=epoch, split=split, loss=loss, dice=scores["dice_binary"],
+                            iou=scores["iou_binary"], mean_iou=scores["mean_iou"],
+                            accuracy=scores["accuracy"])
 
 
 def export_curves(records, path: str | os.PathLike) -> None:
@@ -298,16 +274,25 @@ def _slices_for(samples, ids, crop, threshold) -> list[SliceRecord]:
     return out
 
 
+def _eval_batches(model, records, batch_size):
+    """Eval-mode forward passes over `records`: yields (batch, logits, labels).
+
+    The caller holds `no_grad()` around the loop; a generator that held it
+    would leave gradients off on this thread if it were abandoned.
+    """
+    for i in range(0, len(records), batch_size):
+        batch = make_batch(records[i:i + batch_size])
+        logits = model(Tensor(batch.images), training=False)
+        yield batch, logits, logits_to_labels(logits.data)
+
+
 def _eval_pass(model, records, cfg_loss, batch_size, epoch, split) -> MetricRecord:
     acc = MetricAccumulator()
     with no_grad():
-        for i in range(0, len(records), batch_size):
-            batch = make_batch(records[i:i + batch_size])
-            logits = model(Tensor(batch.images), training=False)
-            loss = _combined_loss(logits, batch.targets, cfg_loss)
-            pred = logits_to_labels(logits.data)
+        for batch, logits, pred in _eval_batches(model, records, batch_size):
             acc.update(pred, batch.labels)
-            acc.add_loss(loss.item(), len(batch.source))
+            acc.add_loss(_combined_loss(logits, batch.targets, cfg_loss).item(),
+                         len(batch.source))
     return acc.record(epoch, split)
 
 
@@ -398,14 +383,20 @@ def _select_ids(ckpt_config: dict, ids: list[str], split: str) -> list[str]:
     return train_ids if split == "train" else val_ids
 
 
+def _predict_labels(model, records, batch_size) -> np.ndarray:
+    """Eval-mode label maps of `records`, stacked in order."""
+    with no_grad():
+        return np.concatenate([pred for _, _, pred in _eval_batches(model, records, batch_size)])
+
+
 def evaluate(ckpt_path: str, data_root: str, split: str = "val",
              save_masks: Optional[str] = None, out_path: Optional[str] = None,
              batch_size: int = 8) -> dict:
     """Eval-mode metrics over every slice of the selected cases.
 
     Metrics are computed over the center-cropped field of view the model
-    sees, by applying the metric functions directly to the stacked predicted
-    and reference masks — the same arrays that --save-masks writes out.
+    sees, from pixel counts pooled case by case over the predicted and
+    reference masks — the same masks that --save-masks writes out.
     """
     ckpt = load_checkpoint(ckpt_path)
     model = restore_model(ckpt)
@@ -419,27 +410,16 @@ def evaluate(ckpt_path: str, data_root: str, split: str = "val",
     if save_masks:
         Path(save_masks).mkdir(parents=True, exist_ok=True)
 
-    all_pred = []
-    all_true = []
+    acc = MetricAccumulator()
     n_slices = 0
-    with no_grad():
-        for cid in ids:
-            recs = extract_slices(samples[cid], crop, 0.0)
-            preds = []
-            for i in range(0, len(recs), batch_size):
-                batch = make_batch(recs[i:i + batch_size])
-                logits = model(Tensor(batch.images), training=False)
-                preds.append(logits_to_labels(logits.data))
-            case_pred = np.concatenate(preds, axis=0)
-            case_true = np.stack([r.label for r in recs])
-            n_slices += len(recs)
-            if save_masks:
-                write_svol(Path(save_masks) / f"{cid}_pred.svol", case_pred)
-            all_pred.append(case_pred)
-            all_true.append(case_true)
+    for cid in ids:
+        recs = extract_slices(samples[cid], crop, 0.0)
+        case_pred = _predict_labels(model, recs, batch_size)
+        acc.update(case_pred, np.stack([r.label for r in recs]))
+        n_slices += len(recs)
+        if save_masks:
+            write_svol(Path(save_masks) / f"{cid}_pred.svol", case_pred)
 
-    pred = np.concatenate(all_pred, axis=0)
-    true = np.concatenate(all_true, axis=0)
     report = {
         "split": split,
         "data_root": data_root,
@@ -447,13 +427,7 @@ def evaluate(ckpt_path: str, data_root: str, split: str = "val",
         "cases": len(ids),
         "slices": n_slices,
         "crop": list(crop),
-        "metrics": {
-            "dice_binary": binary_dice(pred, true),
-            "dice_per_class": [dice_score(pred, true, c) for c in range(NUM_CLASSES)],
-            "iou_binary": binary_iou(pred, true),
-            "mean_iou": mean_iou(pred, true, NUM_CLASSES),
-            "accuracy": pixel_accuracy(pred, true),
-        },
+        "metrics": _confusion_scores(acc.confusion),
         "reference": PUBLISHED_REFERENCE,
     }
     if out_path:
@@ -506,14 +480,7 @@ def predict(ckpt_path: str, in_path: str, out_path: str, batch_size: int = 8) ->
         raise DataError(f"case planes {h}x{w} smaller than model crop {crop}")
     oh, ow = crop_offsets((h, w), crop)
 
-    recs = extract_slices(sample, crop, 0.0)
-    preds = []
-    with no_grad():
-        for i in range(0, len(recs), batch_size):
-            batch = make_batch(recs[i:i + batch_size])
-            logits = model(Tensor(batch.images), training=False)
-            preds.append(logits_to_labels(logits.data))
-    cropped = np.concatenate(preds, axis=0)
+    cropped = _predict_labels(model, extract_slices(sample, crop, 0.0), batch_size)
 
     mask = np.zeros((d, h, w), dtype=np.uint8)
     mask[:, oh:oh + crop[0], ow:ow + crop[1]] = cropped

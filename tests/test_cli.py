@@ -13,7 +13,7 @@ import pytest
 
 import segforge
 from segforge import __version__
-from segforge.checkpoint import load_checkpoint
+from segforge.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from segforge.cli import main
 from segforge.nifti import read_nifti
 from segforge.svol import read_svol, write_svol
@@ -93,6 +93,13 @@ class TestTrainCommand:
         bad.write_text("{not json")
         assert run_cli("train", "--config", str(bad)) == 2
 
+    def test_wrongly_typed_config_value_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"data_root": TINY_ROOT, "epochs": "x",
+                                   "output_dir": str(tmp_path / "run")}))
+        assert run_cli("train", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_bad_override_value_is_config_error(self, tmp_path):
         assert run_cli("train", "--preset", "desk", "--quiet",
                        "--override", "epochs") == 2
@@ -159,6 +166,16 @@ class TestEvalCommand:
             assert run_cli("eval", "--ckpt", str(bad), "--data", TINY_ROOT) == 3
             err = capsys.readouterr().err
             assert err.startswith("data error:") and "at byte" in err
+
+
+    def test_wrongly_typed_model_section_is_config_error(self, cli_run, tmp_path, capsys):
+        ckpt = load_checkpoint(cli_run / "last.ckpt")
+        model = restore_model(ckpt)
+        bad = tmp_path / "bad.ckpt"
+        for section in (5, {"stage_depths": 5}, {"decoder_channels": None}):
+            save_checkpoint(bad, dict(ckpt.config, model=section), model)
+            assert run_cli("eval", "--ckpt", str(bad), "--data", TINY_ROOT) == 2
+            assert capsys.readouterr().err.startswith("config error:")
 
 
 class TestPredictCommand:

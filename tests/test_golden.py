@@ -1,10 +1,11 @@
 """Golden hashes: training, prediction and gradients stay bit-identical.
 
-Three outputs are hashed with sha256 and compared with `golden.json`:
-`curves.csv` and `last.ckpt` of a short desk run, the `predict` mask of one
-small synthetic case, and the parameter gradients of one training step of a
-narrow model with the full preset's topology. A refactor that claims to keep
-every bit must leave all of them unchanged.
+Five outputs are hashed with sha256 and compared with `golden.json`:
+`curves.csv` and `last.ckpt` of a short desk run, that run's `evaluate`
+metrics, the `predict` mask of one small synthetic case, and the parameter
+gradients of one training step of a narrow model with the full preset's
+topology. A refactor that claims to keep every bit must leave all of them
+unchanged.
 
 Rounding depends on numpy, the BLAS build, its thread count and the CPU, so
 the hashes are keyed by an environment fingerprint of those four. In an
@@ -32,7 +33,7 @@ from segforge.data import synth_case, write_case
 from segforge.metrics import one_hot, soft_dice_loss
 from segforge.model import PRESETS, build_model
 from segforge.tensor import Tensor, backward
-from segforge.train import predict, run_preset, train
+from segforge.train import evaluate, predict, run_preset, train
 
 GOLDEN = Path(__file__).with_name("golden.json")
 DESK_ROOT = "synth:cases=2,seed=1,dims=8x64x64"
@@ -90,7 +91,7 @@ def narrow_step_gradients() -> str:
 
 
 def golden_hashes(workdir: Path) -> dict:
-    """Run the three hashed computations under `workdir`, which must be empty.
+    """Run the hashed computations under `workdir`, which must be empty.
 
     The run's output dir is relative because the run config, output dir
     included, is stored inside every checkpoint.
@@ -101,11 +102,14 @@ def golden_hashes(workdir: Path) -> dict:
         cfg = dataclasses.replace(run_preset("desk"), data_root=DESK_ROOT, epochs=2, seed=1,
                                   val_on_train=True, output_dir="desk")
         train(cfg)
+        report = evaluate("desk/last.ckpt", DESK_ROOT, split="all")
         case_dir = write_case(synth_case(seed=7, dims=(8, 64, 64)), "cases")
         predict("desk/last.ckpt", str(case_dir), "mask.svol")
         return {
             "desk_curves_csv": sha256_file("desk/curves.csv"),
             "desk_last_ckpt": sha256_file("desk/last.ckpt"),
+            "evaluate_metrics": hashlib.sha256(
+                json.dumps(report["metrics"], sort_keys=True).encode()).hexdigest(),
             "predict_mask_svol": sha256_file("mask.svol"),
             "narrow_full_step_grads": narrow_step_gradients(),
         }

@@ -34,6 +34,20 @@ class TestHardMetricsMatchOracles:
             assert mean_iou(pred, target, 4) == oracle_mean_iou(pred, target, 4)
             assert pixel_accuracy(pred, target) == oracle_accuracy(pred, target)
 
+    def test_per_class_and_binary_scores_take_any_integer_label(self):
+        # only the class asked for (or zero vs nonzero) is counted, so labels
+        # beyond the model's classes and negative ones are fine here
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            pred, target = rng.integers(-2, 9, (2, 6, 6)), rng.integers(-2, 9, (2, 6, 6))
+            for cls in range(-2, 10):
+                assert dice_score(pred, target, cls) == oracle_dice(pred, target, cls)
+                assert iou_score(pred, target, cls) == oracle_iou(pred, target, cls)
+            fg_p, fg_t = (pred != 0).astype(np.uint8), (target != 0).astype(np.uint8)
+            assert binary_dice(pred, target) == oracle_dice(fg_p, fg_t, 1)
+            assert binary_iou(pred, target) == oracle_iou(fg_p, fg_t, 1)
+            assert pixel_accuracy(pred, target) == oracle_accuracy(pred, target)
+
     def test_dice_iou_identity_on_binary_masks(self):
         for seed in range(50):
             pred, target = random_pair(seed, num_classes=2)
@@ -67,6 +81,11 @@ class TestHardMetricsMatchOracles:
             dice_score(a.astype(np.float32), a, 0)
         with pytest.raises(ContractError):
             pixel_accuracy(a, a.astype(np.float64))
+        # labels outside [0, num_classes), including a negative one in a signed map
+        with pytest.raises(ContractError):
+            mean_iou(np.full((4, 4), 4, dtype=np.uint8), a, 4)
+        with pytest.raises(ContractError):
+            mean_iou(a.astype(np.int64), np.full((4, 4), -1, dtype=np.int64), 4)
 
 
 class TestLabelHelpers:

@@ -40,6 +40,12 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig.from_dict(d)
 
+    def test_from_dict_wrong_types_are_config_errors(self):
+        for d in (5, "ab", [["seed", 1]], {"stage_depths": 5}, {"decoder_channels": None},
+                  {"stage_depths": "abcd"}, {"stem_width": "x"}, {"reduction": 0}):
+            with pytest.raises(ConfigError):
+                ModelConfig.from_dict(d)
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             ModelConfig(stage_depths=(1, 1, 1))

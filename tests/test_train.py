@@ -14,8 +14,7 @@ from segforge.data import (MODALITIES, extract_slices, load_data_root,
 from segforge.errors import (ConfigError, ContractError, DataError,
                              FormatError, NumericError)
 from segforge.layers import BatchNorm2d, Conv2d, Module
-from segforge.metrics import (binary_dice, binary_iou, mean_iou,
-                              pixel_accuracy)
+from segforge.metrics import binary_dice
 from segforge.model import PRESETS, build_model
 from segforge.optim import Adam
 from segforge.svol import read_svol
@@ -24,6 +23,9 @@ from segforge.train import (CURVES_HEADER, MetricAccumulator, MetricRecord,
                             PUBLISHED_REFERENCE, RunConfig, apply_overrides,
                             evaluate, export_curves, format_report, predict,
                             run_preset, train)
+
+from oracles import (oracle_accuracy, oracle_dice, oracle_iou,
+                     oracle_mean_iou)
 
 TINY_ROOT = "synth:cases=2,seed=3,dims=8x64x64"
 
@@ -144,6 +146,17 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_dict(d)
 
+    def test_from_dict_wrong_types_are_config_errors(self):
+        for key, value in [("epochs", "x"), ("crop", ["a", 64]), ("min_foreground", "lots"),
+                           ("crop", 5), ("optimizer", 5), ("model", 5)]:
+            d = run_preset("desk").to_dict()
+            d[key] = value
+            with pytest.raises(ConfigError):
+                RunConfig.from_dict(d)
+        for d in (5, ["epochs"]):
+            with pytest.raises(ConfigError):
+                RunConfig.from_dict(d)
+
     def test_validate_catches_each_field(self):
         base = tiny_config("out")
         bad = [
@@ -219,24 +232,42 @@ class TestCurves:
             export_curves([], tmp_path / "curves.csv")
 
 
+def assert_scores_match_oracles(dice, iou, miou, accuracy, pred, true):
+    fg_pred, fg_true = (pred != 0).astype(np.uint8), (true != 0).astype(np.uint8)
+    assert dice == oracle_dice(fg_pred, fg_true, 1)
+    assert iou == oracle_iou(fg_pred, fg_true, 1)
+    assert miou == oracle_mean_iou(pred, true, 4)
+    assert accuracy == oracle_accuracy(pred, true)
+
+
 class TestMetricAccumulator:
     def test_matches_metric_functions_on_stacked_masks(self):
-        rng = np.random.default_rng(0)
+        # the oracles share no code with the accumulator, unlike segforge.metrics
+        for seed, classes in [(0, 4), (1, 3), (2, 1)]:
+            rng = np.random.default_rng(seed)
+            acc = MetricAccumulator()
+            chunks_p, chunks_t = [], []
+            for n in (3, 1, 5, 2, 4):
+                # each batch draws from a few of the first `classes` classes
+                present = rng.choice(classes, size=rng.integers(1, classes + 1), replace=False)
+                p = rng.choice(present, (n, 6, 6)).astype(np.uint8)
+                t = rng.choice(present, (n, 6, 6)).astype(np.uint8)
+                acc.update(p, t)
+                chunks_p.append(p)
+                chunks_t.append(t)
+            pred = np.concatenate(chunks_p)
+            true = np.concatenate(chunks_t)
+            rec = acc.record(1, "train")
+            assert_scores_match_oracles(rec.dice, rec.iou, rec.mean_iou, rec.accuracy,
+                                        pred, true)
+
+    def test_labels_outside_classes_rejected(self):
         acc = MetricAccumulator()
-        chunks_p, chunks_t = [], []
-        for _ in range(7):
-            p = rng.integers(0, 4, (3, 8, 8)).astype(np.uint8)
-            t = rng.integers(0, 4, (3, 8, 8)).astype(np.uint8)
-            acc.update(p, t)
-            chunks_p.append(p)
-            chunks_t.append(t)
-        pred = np.concatenate(chunks_p)
-        true = np.concatenate(chunks_t)
-        rec = acc.record(1, "train")
-        assert rec.dice == binary_dice(pred, true)
-        assert rec.iou == binary_iou(pred, true)
-        assert rec.mean_iou == mean_iou(pred, true, 4)
-        assert rec.accuracy == pixel_accuracy(pred, true)
+        p = np.zeros((1, 2, 2), dtype=np.int64)
+        with pytest.raises(ContractError):
+            acc.update(p, p + 4)
+        with pytest.raises(ContractError):
+            acc.update(p - 1, p)
 
     def test_loss_average_weighted_by_batch_size(self):
         acc = MetricAccumulator()
@@ -366,6 +397,13 @@ class TestCheckpoint:
         with pytest.raises(ConfigError):
             restore_model(ckpt)
 
+    def test_restore_rejects_wrongly_typed_model_section(self):
+        for model in (5, {"stage_depths": 5}, {"decoder_channels": None}):
+            ckpt = CheckpointData(config={"model": model}, arrays={}, epoch=0, best=None,
+                                  optimizer_step=0)
+            with pytest.raises(ConfigError):
+                restore_model(ckpt)
+
 
 class TestTrainLoop:
     def test_single_epoch_writes_two_curve_rows(self, tmp_path):
@@ -455,10 +493,9 @@ class TestEvaluate:
         pred = np.concatenate(preds)
         true = np.concatenate(trues)
         m = report["metrics"]
-        assert m["dice_binary"] == binary_dice(pred, true)
-        assert m["iou_binary"] == binary_iou(pred, true)
-        assert m["mean_iou"] == mean_iou(pred, true, 4)
-        assert m["accuracy"] == pixel_accuracy(pred, true)
+        assert_scores_match_oracles(m["dice_binary"], m["iou_binary"], m["mean_iou"],
+                                    m["accuracy"], pred, true)
+        assert m["dice_per_class"] == [oracle_dice(pred, true, c) for c in range(4)]
 
     def test_split_selection_replays_checkpoint_split(self, split_run):
         summary, cfg = split_run
