@@ -215,6 +215,6 @@ def restore_model(ckpt: CheckpointData) -> SegmentationModel:
     model_cfg = ckpt.config.get("model")
     if model_cfg is None:
         raise ConfigError("checkpoint config has no 'model' section")
-    model = SegmentationModel(ModelConfig.from_dict(model_cfg))
+    model = SegmentationModel(ModelConfig.from_dict(model_cfg, "model"))
     apply_arrays(model, ckpt)
     return model

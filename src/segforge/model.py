@@ -7,7 +7,8 @@ stage outputs) feed a nearest-upsample decoder with skip concatenation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -20,8 +21,59 @@ from .tensor import Tensor, add, mul, relu, reshape, sigmoid
 EXPANSION = 4  # bottleneck output channels = EXPANSION * mid width
 
 
+class ConfigDocument:
+    """JSON codec for a config dataclass, driven by its fields and their types.
+
+    `to_dict` emits the fields in declaration order, tuples as lists and
+    nested configs as objects, and casts no value. `from_dict` checks each
+    value against its field's type and raises ConfigError naming the dotted
+    key. A bool is not an int (so `type(v) is int`, not isinstance) and a
+    string is never read as a number; an int is taken for a float field and
+    stored as a float.
+    """
+
+    def to_dict(self) -> dict:
+        return {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, d, key: str = ""):
+        """Build from a JSON object; `key` is the section's dotted key in messages."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"{key or cls.__name__} must be an object, got {type(d).__name__}")
+        hints = typing.get_type_hints(cls)
+        prefix = f"{key}." if key else ""
+        unknown = [k for k in d if k not in hints]
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {[prefix + str(k) for k in unknown]}")
+        return cls(**{k: _decode(hints[k], v, prefix + k) for k, v in d.items()})
+
+
+def _encode(value):
+    if isinstance(value, ConfigDocument):
+        return value.to_dict()
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _decode(hint, value, key: str):
+    if isinstance(hint, type) and issubclass(hint, ConfigDocument):
+        return hint.from_dict(value, key)
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)   # (int, ...) or (int, int): only ints are used
+        size = None if args[-1] is Ellipsis else len(args)
+        if (not isinstance(value, (list, tuple)) or size not in (None, len(value))
+                or not all(type(v) is int for v in value)):
+            want = "a list of ints" if size is None else f"a list of {size} ints"
+            raise ConfigError(f"{key} must be {want}, got {value!r}")
+        return tuple(value)
+    if hint is float and type(value) is int:
+        return float(value)
+    if not (type(value) is int if hint is int else isinstance(value, hint)):
+        raise ConfigError(f"{key} must be {hint.__name__}, got {type(value).__name__} {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(ConfigDocument):
     in_channels: int = 3
     num_classes: int = 4
     stem_width: int = 64
@@ -41,30 +93,6 @@ class ModelConfig:
             raise ConfigError(f"reduction must be positive, got {self.reduction}")
         if self.stem_width % self.reduction:
             raise ConfigError(f"stem_width {self.stem_width} not divisible by reduction {self.reduction}")
-
-    def to_dict(self) -> dict:
-        return {
-            "in_channels": self.in_channels,
-            "num_classes": self.num_classes,
-            "stem_width": self.stem_width,
-            "stage_depths": list(self.stage_depths),
-            "reduction": self.reduction,
-            "decoder_channels": list(self.decoder_channels),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        if not isinstance(d, dict):
-            raise ConfigError(f"model config must be an object, got {type(d).__name__}")
-        kwargs = dict(d)
-        try:
-            for key in ("stage_depths", "decoder_channels"):
-                if key in kwargs:
-                    kwargs[key] = tuple(kwargs[key])
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"bad model config: {exc}") from None
 
     @property
     def tap_channels(self) -> tuple[int, ...]:

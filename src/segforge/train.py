@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -24,7 +26,7 @@ from .data import (DEFAULT_CROP, MIN_FOREGROUND_DEFAULT, NUM_CLASSES, TRAIN_FRAC
 from .errors import ConfigError, DataError
 from .metrics import (_confusion_matrix, _confusion_scores, cross_entropy_loss,
                       logits_to_labels, soft_dice_loss)
-from .model import ModelConfig, PRESETS, build_model
+from .model import ConfigDocument, ModelConfig, PRESETS, SegmentationModel, build_model
 from .nifti import write_nifti
 from .optim import Adam
 from .svol import write_svol
@@ -47,15 +49,12 @@ PUBLISHED_REFERENCE = {
     "reported_metrics": {"dice": 0.87, "iou": 0.88, "mean_iou": 0.82, "accuracy": 0.8912},
 }
 
-CURVES_HEADER = "epoch,split,loss,dice,iou,mean_iou,accuracy"
-
-
 # ---------------------------------------------------------------------------
 # run configuration
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
+class OptimizerConfig(ConfigDocument):
     kind: str = "adam"
     lr: float = 1e-4
     beta1: float = 0.9
@@ -64,19 +63,19 @@ class OptimizerConfig:
 
 
 @dataclass(frozen=True)
-class SplitConfig:
+class SplitConfig(ConfigDocument):
     fraction: float = TRAIN_FRACTION
     seed: int = 0
 
 
 @dataclass(frozen=True)
-class LossConfig:
+class LossConfig(ConfigDocument):
     dice_weight: float = 1.0
     ce_weight: float = 0.0
 
 
 @dataclass
-class RunConfig:
+class RunConfig(ConfigDocument):
     model: ModelConfig = field(default_factory=ModelConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     epochs: int = 100
@@ -113,52 +112,6 @@ class RunConfig:
             raise ConfigError("data_root is required")
         if not self.output_dir:
             raise ConfigError("output_dir is required")
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(),
-            "optimizer": {"kind": self.optimizer.kind, "lr": self.optimizer.lr,
-                          "beta1": self.optimizer.beta1, "beta2": self.optimizer.beta2,
-                          "eps": self.optimizer.eps},
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "data_root": self.data_root,
-            "split": {"fraction": self.split.fraction, "seed": self.split.seed},
-            "crop": list(self.crop),
-            "loss": {"dice_weight": self.loss.dice_weight, "ce_weight": self.loss.ce_weight},
-            "min_foreground": self.min_foreground,
-            "val_on_train": self.val_on_train,
-            "output_dir": self.output_dir,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        if not isinstance(d, dict):
-            raise ConfigError(f"run config must be an object, got {type(d).__name__}")
-        known = {"model", "optimizer", "epochs", "batch_size", "seed", "data_root",
-                 "split", "crop", "loss", "min_foreground", "val_on_train", "output_dir"}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown run config key(s): {sorted(unknown)}")
-        base = cls()
-        try:
-            return cls(
-                model=ModelConfig.from_dict(d["model"]) if "model" in d else base.model,
-                optimizer=OptimizerConfig(**d.get("optimizer", {})),
-                epochs=int(d.get("epochs", base.epochs)),
-                batch_size=int(d.get("batch_size", base.batch_size)),
-                seed=int(d.get("seed", base.seed)),
-                data_root=str(d.get("data_root", base.data_root)),
-                split=SplitConfig(**d.get("split", {})),
-                crop=tuple(int(c) for c in d.get("crop", base.crop)),
-                loss=LossConfig(**d.get("loss", {})),
-                min_foreground=float(d.get("min_foreground", base.min_foreground)),
-                val_on_train=bool(d.get("val_on_train", base.val_on_train)),
-                output_dir=str(d.get("output_dir", base.output_dir)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad run config: {exc}") from None
 
 
 def run_preset(name: str) -> RunConfig:
@@ -211,6 +164,12 @@ class MetricRecord:
     accuracy: float
 
 
+# curves.csv has one column per MetricRecord field; floats are written to 6 decimals
+_CURVES_FORMATS = {name: ".6f" if hint is float else ""
+                   for name, hint in typing.get_type_hints(MetricRecord).items()}
+CURVES_HEADER = ",".join(_CURVES_FORMATS)
+
+
 class MetricAccumulator:
     """Pools a confusion matrix and the loss across batches.
 
@@ -245,8 +204,7 @@ def export_curves(records, path: str | os.PathLike) -> None:
         raise ConfigError("export_curves needs at least one record")
     lines = [CURVES_HEADER]
     for r in rows:
-        lines.append(f"{r.epoch},{r.split},{r.loss:.6f},{r.dice:.6f},"
-                     f"{r.iou:.6f},{r.mean_iou:.6f},{r.accuracy:.6f}")
+        lines.append(",".join(format(getattr(r, k), spec) for k, spec in _CURVES_FORMATS.items()))
     tmp = str(path) + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -354,8 +312,9 @@ def train(cfg: RunConfig, verbose: bool = False) -> dict:
         if improved:
             best = {"epoch": epoch, "dice": val_rec.dice}
         save_checkpoint(last_path, cfg_dict, model, optimizer, epoch=epoch, best=best)
-        if improved:
-            save_checkpoint(best_path, cfg_dict, model, optimizer, epoch=epoch, best=best)
+        if improved:   # same state as last.ckpt: copy its bytes, atomically
+            shutil.copyfile(last_path, f"{best_path}.tmp")
+            os.replace(f"{best_path}.tmp", best_path)
         export_curves(records, curves_path)
         if verbose:
             print(f"epoch {epoch}/{cfg.epochs}  "
@@ -370,16 +329,21 @@ def train(cfg: RunConfig, verbose: bool = False) -> dict:
 # evaluation / prediction
 
 
-def _select_ids(ckpt_config: dict, ids: list[str], split: str) -> list[str]:
+def _load_run(ckpt_path) -> tuple[RunConfig, SegmentationModel]:
+    """A checkpoint's run config, type-checked, and its restored model."""
+    ckpt = load_checkpoint(ckpt_path)
+    cfg = RunConfig.from_dict(ckpt.config)
+    return cfg, restore_model(ckpt)
+
+
+def _select_ids(cfg: RunConfig, ids: list[str], split: str) -> list[str]:
     if split == "all":
         return ids
     if split not in ("train", "val"):
         raise ConfigError(f"unknown split '{split}' (use train, val or all)")
-    if ckpt_config.get("val_on_train"):
+    if cfg.val_on_train:
         return ids
-    split_cfg = ckpt_config.get("split", {})
-    train_ids, val_ids = split_dataset(ids, split_cfg.get("fraction", TRAIN_FRACTION),
-                                       split_cfg.get("seed", 0))
+    train_ids, val_ids = split_dataset(ids, cfg.split.fraction, cfg.split.seed)
     return train_ids if split == "train" else val_ids
 
 
@@ -398,12 +362,11 @@ def evaluate(ckpt_path: str, data_root: str, split: str = "val",
     sees, from pixel counts pooled case by case over the predicted and
     reference masks — the same masks that --save-masks writes out.
     """
-    ckpt = load_checkpoint(ckpt_path)
-    model = restore_model(ckpt)
-    crop = tuple(ckpt.config.get("crop", DEFAULT_CROP))
+    cfg, model = _load_run(ckpt_path)
+    crop = cfg.crop
 
     samples = load_data_root(data_root)
-    ids = _select_ids(ckpt.config, sorted(samples), split)
+    ids = _select_ids(cfg, sorted(samples), split)
     if not ids:
         raise DataError(f"no cases selected for split '{split}' in {data_root}")
 
@@ -467,9 +430,8 @@ def predict(ckpt_path: str, in_path: str, out_path: str, batch_size: int = 8) ->
     window and everything outside it stays background. Output is .svol,
     plus a .nii sibling (same geometry) when the input case was NIfTI.
     """
-    ckpt = load_checkpoint(ckpt_path)
-    model = restore_model(ckpt)
-    crop = tuple(ckpt.config.get("crop", DEFAULT_CROP))
+    cfg, model = _load_run(ckpt_path)
+    crop = cfg.crop
 
     case_dir = Path(in_path)
     if not case_dir.is_dir():

@@ -177,6 +177,14 @@ class TestEvalCommand:
             assert run_cli("eval", "--ckpt", str(bad), "--data", TINY_ROOT) == 2
             assert capsys.readouterr().err.startswith("config error:")
 
+    def test_wrongly_typed_crop_is_config_error(self, cli_run, tmp_path, capsys):
+        ckpt = load_checkpoint(cli_run / "last.ckpt")
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, dict(ckpt.config, crop=5), restore_model(ckpt))
+        assert run_cli("eval", "--ckpt", str(bad), "--data", TINY_ROOT) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: crop ")
+
 
 class TestPredictCommand:
     def test_predict_case_directory(self, cli_run, tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import re
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ from segforge.errors import (ConfigError, ContractError, DataError,
                              FormatError, NumericError)
 from segforge.layers import BatchNorm2d, Conv2d, Module
 from segforge.metrics import binary_dice
-from segforge.model import PRESETS, build_model
+from segforge.model import PRESETS, ConfigDocument, build_model
 from segforge.optim import Adam
 from segforge.svol import read_svol
 from segforge.tensor import Tensor, no_grad
@@ -36,6 +38,52 @@ def tiny_config(output_dir, **kw):
                   output_dir=str(output_dir), seed=0)
     fields.update(kw)
     return dataclasses.replace(cfg, **fields)
+
+
+# run_preset(name).to_dict(): every checkpoint stores this document, so its
+# keys, key order and values must not change
+PRESET_DICTS = {
+    "desk": {"model": {"in_channels": 3, "num_classes": 4, "stem_width": 16,
+                       "stage_depths": [1, 1, 1, 1], "reduction": 4,
+                       "decoder_channels": [64, 32, 16, 16, 8], "seed": 0},
+             "optimizer": {"kind": "adam", "lr": 0.01, "beta1": 0.9, "beta2": 0.999,
+                           "eps": 1e-08},
+             "epochs": 30, "batch_size": 4, "seed": 0, "data_root": "synth:cases=4,seed=1",
+             "split": {"fraction": 0.7469635627530364, "seed": 0}, "crop": [64, 64],
+             "loss": {"dice_weight": 1.0, "ce_weight": 0.0}, "min_foreground": 0.001,
+             "val_on_train": False, "output_dir": "runs/desk"},
+    "full": {"model": {"in_channels": 3, "num_classes": 4, "stem_width": 64,
+                       "stage_depths": [3, 8, 36, 3], "reduction": 16,
+                       "decoder_channels": [256, 128, 64, 32, 16], "seed": 0},
+             "optimizer": {"kind": "adam", "lr": 0.0001, "beta1": 0.9, "beta2": 0.999,
+                           "eps": 1e-08},
+             "epochs": 100, "batch_size": 8, "seed": 0, "data_root": "",
+             "split": {"fraction": 0.7469635627530364, "seed": 0}, "crop": [128, 128],
+             "loss": {"dice_weight": 1.0, "ce_weight": 0.0}, "min_foreground": 0.001,
+             "val_on_train": False, "output_dir": "runs/run"},
+}
+
+
+def config_fields(cls, prefix=""):
+    """(dotted key, type) of every field of a config and of its nested sections."""
+    for name, hint in typing.get_type_hints(cls).items():
+        yield prefix + name, hint
+        if isinstance(hint, type) and issubclass(hint, ConfigDocument):
+            yield from config_fields(hint, f"{prefix}{name}.")
+
+
+def wrongly_typed(hint):
+    if isinstance(hint, type) and issubclass(hint, ConfigDocument):
+        return [5, "x", [1], None]
+    if typing.get_origin(hint) is tuple:
+        return [5, "64", None, ["a", 64], [1.5, 64], [True, 64]]
+    return {int: ["3", 2.9, True, None], float: ["0.5", True, None, [1.0]],
+            str: [5, True, None], bool: ["no", "true", 1, 0, None]}[hint]
+
+
+def with_value(key, value):
+    """The desk preset's dict with one dotted key set, as `--override` sets it."""
+    return apply_overrides(run_preset("desk").to_dict(), [f"{key}={json.dumps(value)}"])
 
 
 class TestAdam:
@@ -141,10 +189,10 @@ class TestRunConfig:
         assert again == cfg
 
     def test_from_dict_rejects_unknown_keys(self):
-        d = run_preset("desk").to_dict()
-        d["epohcs"] = 5
-        with pytest.raises(ConfigError):
-            RunConfig.from_dict(d)
+        for key in ("epohcs", "optimizer.lrr", "model.stem_widht"):
+            d = with_value(key, 5)
+            with pytest.raises(ConfigError, match=re.escape(key)):
+                RunConfig.from_dict(d)
 
     def test_from_dict_wrong_types_are_config_errors(self):
         for key, value in [("epochs", "x"), ("crop", ["a", 64]), ("min_foreground", "lots"),
@@ -156,6 +204,34 @@ class TestRunConfig:
         for d in (5, ["epochs"]):
             with pytest.raises(ConfigError):
                 RunConfig.from_dict(d)
+
+    @pytest.mark.parametrize("name", sorted(PRESET_DICTS))
+    def test_preset_dicts_are_pinned(self, name):
+        d = run_preset(name).to_dict()
+        assert d == PRESET_DICTS[name]
+        assert json.dumps(d) == json.dumps(PRESET_DICTS[name])   # key order too
+        assert RunConfig.from_dict(d) == run_preset(name)
+
+    def test_every_field_rejects_a_wrongly_typed_value(self):
+        cases = [(key, value) for key, hint in config_fields(RunConfig)
+                 for value in wrongly_typed(hint)]
+        assert {"crop", "model.stage_depths", "optimizer.lr", "split.seed",
+                "loss.ce_weight"} <= {key for key, _ in cases}
+        # values a casting codec would read as numbers or truth values, or leave to validate()
+        cases += [("val_on_train", "no"), ("epochs", 2.9), ("epochs", "3"),
+                  ("optimizer.lr", "x"), ("loss.dice_weight", "a"), ("split.seed", "x"),
+                  ("optimizer.beta1", None), ("model.stem_width", 16.0), ("crop", 5),
+                  ("crop", [64, 64, 64])]
+        for key, value in cases:
+            d = with_value(key, value)
+            with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be "):
+                RunConfig.from_dict(d)
+
+    def test_int_for_a_float_field_is_stored_as_a_float(self):
+        d = apply_overrides(run_preset("desk").to_dict(), ["optimizer.lr=1", "min_foreground=0"])
+        cfg = RunConfig.from_dict(d)
+        assert type(cfg.optimizer.lr) is float and type(cfg.min_foreground) is float
+        assert json.dumps(cfg.to_dict()["optimizer"]["lr"]) == "1.0"
 
     def test_validate_catches_each_field(self):
         base = tiny_config("out")
@@ -444,6 +520,12 @@ class TestTrainLoop:
         assert 1 <= best["epoch"] <= 2
         assert 0.0 <= best["dice"] <= 1.0
         assert load_checkpoint(summary["best"]).best == best
+
+    def test_best_checkpoint_is_a_copy_of_last_after_an_improving_epoch(self, tmp_path):
+        summary = train(tiny_config(tmp_path / "run"))   # the first epoch always improves
+        assert Path(summary["best"]).read_bytes() == Path(summary["last"]).read_bytes()
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+            "best.ckpt", "curves.csv", "last.ckpt"]
 
     def test_overfit_loss_trend(self, overfit_run):
         by_epoch = {r.epoch: r for r in overfit_run["records"] if r.split == "train"}
