@@ -2,20 +2,37 @@
 
 Every functional op records a single tape node with an analytic backward
 rule. Convolution is cross-correlation (no kernel flip) over zero-padded
-input, implemented as im2col plus one matrix multiply; weights are OIHW.
+input; weights are OIHW. conv2d has two lowerings, chosen by shape alone.
 
-im2col rows are output pixels and columns run in (c, kh, kw) order, so the
-weight matrix is the OIHW tensor reshaped in place. For 3x3 kernels the
-gather pads the input once into a channels-last buffer and fills the
-(n, oh, ow, c, kh, kw) matrix with nine strided slice copies, each running
-over channels; col2im adds the same nine slices back into a zeroed
-channels-last buffer, row-major over (kh, kw), and transposes to NCHW once.
-Other kernels copy a transposed sliding-window view and scatter in NCHW:
-the window copy is faster for the 3-channel 7x7 stem and no slower for 1x1.
-For any kernel the two paths build the same matrix and sum gradients in the
-same order, so the choice never changes a bit. A (kh, kw, c) column order
-would make the gather cheaper still, but it changes the GEMM's reduction
-order and so the last bits of every output.
+Taps, for stride-1 convs with a kernel larger than 1x1 on input planes of
+at least TAP_MIN_PLANE = 16x16 pixels (kn2row: Vasudevan, Anderson & Gregg,
+arXiv:1704.04428). The input is padded once into a channel-major buffer
+`xp` of shape (c, n*hp*wp + (kh-1)*wp + kw-1). Tap (i, j) of every output
+pixel then sits at a fixed column offset i*wp + j, so the forward pass is
+one (oc, c) @ (c, n*hp*wp) GEMM per tap on a contiguous slice of `xp`,
+summed; the columns whose window crosses a padded image's edge are junk and
+are cropped. Backward puts the upstream gradient on the same grid, zero in
+the junk columns, and runs two GEMMs per tap: one for the tap's weight
+gradient and one whose result is added into the input gradient at the
+tap's offset. No 9x-inflated im2col matrix is built, and the tape keeps
+only `xp`. The taps split each output's reduction over (c, kh, kw) into kh*kw
+partial sums, so results differ from im2col's in the last bits. On a 2-vCPU
+host with 2 OpenBLAS threads, a (4,16,64x64)->8 3x3 conv took 2.0 ms
+forward and 5.0 ms backward on taps, against 8.5 ms and 10.3 ms on im2col.
+Below 16x16 the junk columns cost more than im2col saves: (2,256,8x8)->256
+took 3.5 ms forward and 8.5 ms backward on taps, against 1.9 and 3.7 ms.
+
+im2col, for every other conv: stride 2, 1x1, the 7x7 stem and 3x3 on 8x8
+and 4x4 planes. Its rows are output pixels and its columns run in
+(c, kh, kw) order, so the weight matrix is the OIHW tensor reshaped in
+place. For 3x3 kernels the gather pads the input once into a channels-last
+buffer and fills the (n, oh, ow, c, kh, kw) matrix with nine strided slice
+copies, each running over channels; col2im adds the same nine slices back
+into a zeroed channels-last buffer, row-major over (kh, kw), and transposes
+to NCHW once. Other kernels copy a transposed sliding-window view and
+scatter in NCHW: the window copy is faster for the 3-channel 7x7 stem and no
+slower for 1x1. For any kernel the two gathers build the same matrix and
+sum gradients in the same order, so the choice never changes a bit.
 """
 
 from __future__ import annotations
@@ -30,6 +47,9 @@ from .tensor import Tensor, add, matmul, record
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+# stride-1 convs on input planes of at least this many pixels (16x16) run one
+# GEMM per kernel tap; smaller planes and strided convs go through im2col
+TAP_MIN_PLANE = 256
 
 
 def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -58,27 +78,85 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     if bias is not None and bias.shape != (oc,):
         raise ShapeError(f"conv2d bias must have shape ({oc},), got {bias.shape}")
 
-    cols = _image_to_cols(x.data, (kh, kw), (oh, ow), stride, padding)
-    wmat = weight.data.reshape(oc, -1)
-    flat = cols @ wmat.T
-    if bias is not None:
-        flat += bias.data
-    out = np.ascontiguousarray(flat.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2))
-
-    has_bias = bias is not None
+    b = bias.data if bias is not None else None
+    if stride == 1 and kh * kw > 1 and h * w >= TAP_MIN_PLANE:
+        out, backprop = _tap_conv(x.data, weight.data, b, padding)
+    else:
+        out, backprop = _im2col_conv(x.data, weight.data, b, (oh, ow), stride, padding)
 
     def grad_fn(g):
+        gx, gw = backprop(g)
+        if b is None:
+            return gx, gw
+        return gx, gw, g.sum(axis=(0, 2, 3))
+
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    return record("conv2d", inputs, out, grad_fn)
+
+
+def _im2col_conv(x, weight, b, osize, stride, padding):
+    """Forward output and (gx, gw) rule of one conv as three GEMMs on `cols`."""
+    n, c, h, w = x.shape
+    oc, _, kh, kw = weight.shape
+    oh, ow = osize
+    cols = _image_to_cols(x, (kh, kw), osize, stride, padding)
+    wmat = weight.reshape(oc, -1)
+    flat = cols @ wmat.T
+    if b is not None:
+        flat += b
+    out = np.ascontiguousarray(flat.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2))
+
+    def backprop(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, oc)
         gw = (g2.T @ cols).reshape(weight.shape)
-        gb = g.sum(axis=(0, 2, 3)) if has_bias else None
-        gcols = g2 @ wmat
-        gx = _cols_to_image(gcols, (n, c, h, w), (kh, kw), (oh, ow), stride, padding)
-        if has_bias:
-            return gx, gw, gb
+        gx = _cols_to_image(g2 @ wmat, x.shape, (kh, kw), osize, stride, padding)
         return gx, gw
 
-    inputs = (x, weight, bias) if has_bias else (x, weight)
-    return record("conv2d", inputs, out, grad_fn)
+    return out, backprop
+
+
+def _tap_conv(x, weight, b, padding):
+    """Forward output and (gx, gw) rule of a stride-1 conv as one GEMM per tap.
+
+    `xp` holds the padded images channel-major, flattened to (c, n*hp*wp)
+    plus a zero tail, so that tap (i, j) of output column q reads column
+    q + i*wp + j: each tap is one GEMM on a contiguous slice of `xp`. Output
+    columns whose window runs off a padded image are junk and are cropped.
+    """
+    n, c, h, w = x.shape
+    oc, _, kh, kw = weight.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    oh, ow = hp - kh + 1, wp - kw + 1
+    m = n * hp * wp
+    offsets = [i * wp + j for i in range(kh) for j in range(kw)]
+    xp = np.zeros((c, m + offsets[-1]), dtype=x.dtype)
+    xp[:, :m].reshape(c, n, hp, wp)[:, :, padding:padding + h, padding:padding + w] = \
+        x.transpose(1, 0, 2, 3)
+    taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1)).reshape(kh * kw, oc, c)
+
+    acc = taps[0] @ xp[:, :m]
+    tmp = np.empty_like(acc)
+    for t in range(1, kh * kw):
+        acc += np.matmul(taps[t], xp[:, offsets[t]:offsets[t] + m], out=tmp)
+    out = np.ascontiguousarray(acc.reshape(oc, n, hp, wp)[:, :, :oh, :ow].transpose(1, 0, 2, 3))
+    if b is not None:
+        out += b.reshape(1, oc, 1, 1)
+
+    def backprop(g):
+        # g and gx on xp's grid, channels-last: zero in the junk rows of `gq`
+        gq = np.zeros((m, oc), dtype=g.dtype)
+        gq.reshape(n, hp, wp, oc)[:, :oh, :ow] = g.transpose(0, 2, 3, 1)
+        gtaps = np.empty((kh * kw, c, oc), dtype=g.dtype)
+        gxq = np.zeros((xp.shape[1], c), dtype=g.dtype)
+        tmp = np.empty((m, c), dtype=g.dtype)
+        for t, off in enumerate(offsets):
+            np.matmul(xp[:, off:off + m], gq, out=gtaps[t])
+            gxq[off:off + m] += np.matmul(gq, taps[t], out=tmp)
+        gx = gxq[:m].reshape(n, hp, wp, c)[:, padding:padding + h, padding:padding + w]
+        gw = gtaps.reshape(kh, kw, c, oc).transpose(3, 2, 0, 1)
+        return np.ascontiguousarray(gx.transpose(0, 3, 1, 2)), np.ascontiguousarray(gw)
+
+    return out, backprop
 
 
 def _image_to_cols(x, ksize, osize, stride, padding):

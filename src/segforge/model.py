@@ -47,6 +47,16 @@ class ConfigDocument:
             raise ConfigError(f"unknown config key(s): {[prefix + str(k) for k in unknown]}")
         return cls(**{k: _decode(hints[k], v, prefix + k) for k, v in d.items()})
 
+    def float_items(self, prefix: str = ""):
+        """(dotted key, value) of every float field, nested sections included."""
+        hints = typing.get_type_hints(type(self))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, ConfigDocument):
+                yield from value.float_items(f"{prefix}{f.name}.")
+            elif hints[f.name] is float:
+                yield prefix + f.name, value
+
 
 def _encode(value):
     if isinstance(value, ConfigDocument):

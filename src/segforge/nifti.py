@@ -30,11 +30,12 @@ _DATATYPES = {
 _CODE_FOR_DTYPE = {dt: code for code, dt in _DATATYPES.items()}
 
 
-def _read_bytes(path) -> bytes:
+def _read_bytes(path, limit: int = -1) -> bytes:
+    """The file's bytes, gunzipped for `.gz`; at most `limit` of them when given."""
     opener = gzip.open if str(path).endswith(".gz") else open
     try:
         with opener(path, "rb") as fh:
-            return fh.read()
+            return fh.read(limit)
     except FileNotFoundError:
         raise DataError(f"volume file not found: {path}") from None
 
@@ -102,8 +103,8 @@ def read_nifti(path: str | os.PathLike) -> np.ndarray:
 
 
 def read_spacing(path: str | os.PathLike) -> tuple[float, float, float]:
-    """Voxel spacing in [D, H, W] order (pixdim 3, 2, 1) from the header."""
-    blob = _read_bytes(path)
+    """Voxel spacing in [D, H, W] order (pixdim 3, 2, 1) from the header alone."""
+    blob = _read_bytes(path, HEADER_SIZE)
     if len(blob) < HEADER_SIZE:
         raise FormatError(f"file too small for a NIfTI-1 header: {path}")
     bo = "<" if struct.unpack_from("<i", blob, 0)[0] == HEADER_SIZE else ">"

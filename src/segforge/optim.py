@@ -6,6 +6,8 @@ can be checkpointed and restored exactly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError, NumericError
@@ -15,8 +17,10 @@ from .tensor import Tensor
 class Adam:
     def __init__(self, named_params, lr: float = 1e-4, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        if lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
+        if not (math.isfinite(lr) and lr > 0):
+            raise ConfigError(f"learning rate must be positive and finite, got {lr}")
+        if not math.isfinite(eps):
+            raise ConfigError(f"eps must be finite, got {eps}")
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ConfigError(f"betas must be in [0, 1), got {beta1}, {beta2}")
         self.lr = lr

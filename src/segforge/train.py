@@ -10,6 +10,7 @@ curves.csv files and checkpoints on the same platform.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import typing
@@ -90,6 +91,9 @@ class RunConfig(ConfigDocument):
     output_dir: str = "runs/run"
 
     def validate(self) -> None:
+        for key, value in self.float_items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if self.optimizer.kind != "adam":
             raise ConfigError(f"unknown optimizer kind '{self.optimizer.kind}'")
         if self.optimizer.lr <= 0:
@@ -254,6 +258,15 @@ def _eval_pass(model, records, cfg_loss, batch_size, epoch, split) -> MetricReco
     return acc.record(epoch, split)
 
 
+def _train_val_ids(cfg: RunConfig, ids: list[str]) -> tuple[list[str], list[str]]:
+    """A run's train and val case ids; with val_on_train, every case is both."""
+    if cfg.val_on_train:
+        return ids, ids
+    if len(ids) < 2:
+        raise DataError(f"need at least 2 cases to split into train and val, got {len(ids)}")
+    return split_dataset(ids, cfg.split.fraction, cfg.split.seed)
+
+
 def train(cfg: RunConfig, verbose: bool = False) -> dict:
     """Run the full training loop; returns paths and per-epoch records.
 
@@ -264,10 +277,7 @@ def train(cfg: RunConfig, verbose: bool = False) -> dict:
     cfg.validate()
     samples = load_data_root(cfg.data_root)
     ids = sorted(samples)
-    if cfg.val_on_train:
-        train_ids, val_ids = ids, ids
-    else:
-        train_ids, val_ids = split_dataset(ids, cfg.split.fraction, cfg.split.seed)
+    train_ids, val_ids = _train_val_ids(cfg, ids)
 
     train_records = _slices_for(samples, train_ids, cfg.crop, cfg.min_foreground)
     val_records = _slices_for(samples, val_ids, cfg.crop, 0.0)
@@ -341,9 +351,7 @@ def _select_ids(cfg: RunConfig, ids: list[str], split: str) -> list[str]:
         return ids
     if split not in ("train", "val"):
         raise ConfigError(f"unknown split '{split}' (use train, val or all)")
-    if cfg.val_on_train:
-        return ids
-    train_ids, val_ids = split_dataset(ids, cfg.split.fraction, cfg.split.seed)
+    train_ids, val_ids = _train_val_ids(cfg, ids)
     return train_ids if split == "train" else val_ids
 
 

@@ -19,6 +19,7 @@ from segforge.nifti import read_nifti
 from segforge.svol import read_svol, write_svol
 
 TINY_ROOT = "synth:cases=2,seed=3,dims=8x64x64"
+ONE_CASE_ROOT = "synth:cases=1,seed=1,dims=8x64x64"
 
 
 def run_cli(*argv):
@@ -100,6 +101,19 @@ class TestTrainCommand:
         assert run_cli("train", "--config", str(cfg)) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("override", ["optimizer.lr=NaN", "loss.dice_weight=NaN",
+                                          "optimizer.eps=Infinity"])
+    def test_non_finite_override_is_config_error(self, tmp_path, capsys, override):
+        assert run_cli("train", "--preset", "desk", "--quiet", "--override", override,
+                       "--override", f"output_dir={tmp_path}") == 2
+        assert f"config error: {override.split('=')[0]} must be finite" in capsys.readouterr().err
+
+    def test_too_few_cases_to_split_is_data_error(self, tmp_path, capsys):
+        assert run_cli("train", "--preset", "desk", "--quiet",
+                       "--override", f"data_root={ONE_CASE_ROOT}",
+                       "--override", f"output_dir={tmp_path}") == 3
+        assert "data error: need at least 2 cases" in capsys.readouterr().err
+
     def test_bad_override_value_is_config_error(self, tmp_path):
         assert run_cli("train", "--preset", "desk", "--quiet",
                        "--override", "epochs") == 2
@@ -176,6 +190,14 @@ class TestEvalCommand:
             save_checkpoint(bad, dict(ckpt.config, model=section), model)
             assert run_cli("eval", "--ckpt", str(bad), "--data", TINY_ROOT) == 2
             assert capsys.readouterr().err.startswith("config error:")
+
+    def test_too_few_cases_to_split_is_data_error(self, cli_run, tmp_path, capsys):
+        ckpt = load_checkpoint(cli_run / "last.ckpt")
+        split_ckpt = tmp_path / "split.ckpt"
+        save_checkpoint(split_ckpt, dict(ckpt.config, val_on_train=False), restore_model(ckpt))
+        assert run_cli("eval", "--ckpt", str(split_ckpt), "--data", ONE_CASE_ROOT,
+                       "--split", "val") == 3
+        assert "need at least 2 cases" in capsys.readouterr().err
 
     def test_wrongly_typed_crop_is_config_error(self, cli_run, tmp_path, capsys):
         ckpt = load_checkpoint(cli_run / "last.ckpt")

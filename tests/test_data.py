@@ -402,6 +402,20 @@ class TestNiftiReader:
             assert fh.read(4) == struct.pack("<i", 348)
         np.testing.assert_array_equal(read_nifti(path), arr)
 
+    def test_spacing_reads_only_the_header(self, tmp_path):
+        # noise barely compresses, so cutting the .gz in half cuts the payload
+        arr = np.random.default_rng(2).normal(0, 1, (16, 64, 64)).astype(np.float32)
+        for name in ("v.nii", "v.nii.gz"):
+            path = tmp_path / name
+            write_nifti(path, arr, spacing=(3.0, 1.5, 0.75))
+            assert read_spacing(path) == (3.0, 1.5, 0.75)
+            path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+            assert read_spacing(path) == (3.0, 1.5, 0.75)
+        short = tmp_path / "short.nii"
+        short.write_bytes(build_nifti_bytes(arr[:1, :1, :1])[:200])
+        with pytest.raises(FormatError):
+            read_spacing(short)
+
 
 class TestCaseIO:
     @pytest.mark.parametrize("fmt", ["nii", "svol"])

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from segforge.errors import ContractError, ShapeError
-from segforge.layers import (BatchNorm2d, Conv2d, Dense, Module, _cols_to_image,
-                             _image_to_cols, batch_norm, concat_channels, conv2d,
-                             conv_out_size, dense, global_avg_pool, maxpool2d,
+from segforge import layers
+from segforge.layers import (TAP_MIN_PLANE, BatchNorm2d, Conv2d, Dense, Module,
+                             _cols_to_image, _image_to_cols, batch_norm, concat_channels,
+                             conv2d, conv_out_size, dense, global_avg_pool, maxpool2d,
                              upsample_nearest)
 from segforge.tensor import Tensor, backward, mul
 
@@ -98,6 +99,7 @@ class TestIm2colLowering:
     @pytest.mark.parametrize("kernel,stride,padding", [(1, 1, 0), (1, 2, 0), (3, 1, 1),
                                                        (3, 2, 1), (3, 1, 0), (7, 2, 3)])
     def test_conv2d_forward_and_backward_equal_reference(self, kernel, stride, padding, dtype):
+        assert 12 * 10 < TAP_MIN_PLANE   # every case runs on im2col
         rng = np.random.default_rng(kernel + stride + padding)
         for bias in (True, False):
             x = Tensor(rng.standard_normal((2, 16, 12, 10)).astype(dtype), requires_grad=True)
@@ -113,6 +115,79 @@ class TestIm2colLowering:
             assert np.array_equal(w.grad, want[2])
             if bias:
                 assert np.array_equal(b.grad, want[3])
+
+
+def conv_and_grads(x, w, b, padding, g):
+    """conv2d's output and (gx, gw, gb) for upstream gradient g, stride 1."""
+    xt = Tensor(x, requires_grad=True)
+    wt = Tensor(w, requires_grad=True)
+    bt = Tensor(b, requires_grad=True) if b is not None else None
+    out = conv2d(xt, wt, bt, 1, padding)
+    backward(mul(out, Tensor(g)).sum())   # upstream gradient into conv2d is exactly g
+    return out.data, xt.grad, wt.grad, bt.grad if b is not None else None
+
+
+class TestTapLowering:
+    """Stride-1 convs on planes of TAP_MIN_PLANE pixels and up: one GEMM per tap."""
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("kernel,padding", [(3, 0), (3, 1), (5, 0), (5, 1)])
+    def test_matches_naive_oracle_exactly(self, kernel, padding, bias):
+        # integer values keep every sum exact, so the split reduction must agree bit for bit
+        x = int_valued(kernel + padding, 2, 2, 16, 17)
+        w = int_valued(kernel + padding + 10, 3, 2, kernel, kernel)
+        b = int_valued(kernel + padding + 20, 3) if bias else None
+        g = int_valued(kernel + padding + 30, 2, 3, conv_out_size(16, kernel, 1, padding),
+                       conv_out_size(17, kernel, 1, padding))
+        got = conv_and_grads(x, w, b, padding, g)
+        assert np.array_equal(got[0], naive_conv2d(x, w, b, 1, padding))
+        want = reference_conv2d(x, w, b, 1, padding, g)
+        for a, r in zip(got[1:], want[1:]):
+            assert (a is None and r is None) or np.array_equal(a, r)
+
+    @pytest.mark.parametrize("kernel,padding", [(3, 1), (5, 0)])
+    def test_gradients(self, kernel, padding):
+        x = randt(0, 2, 2, 16, 16)
+        w = randt(1, 3, 2, kernel, kernel)
+        b = randt(2, 3)
+        err = grad_check(lambda: conv2d(x, w, b, padding=padding).sum(), [x, w, b])
+        assert err < 1e-4, f"rel err {err}"
+
+    @pytest.mark.parametrize("h,w", [(15, 17), (16, 16), (16, 17), (33, 20)])
+    @pytest.mark.parametrize("kernel,padding", [(3, 1), (3, 0), (5, 2)])
+    def test_float32_close_to_reference_around_the_cutoff(self, h, w, kernel, padding):
+        rng = np.random.default_rng(h * w + kernel)
+        x = rng.standard_normal((2, 16, h, w)).astype(np.float32)
+        wt = rng.standard_normal((8, 16, kernel, kernel)).astype(np.float32)
+        b = rng.standard_normal(8).astype(np.float32)
+        oh, ow = conv_out_size(h, kernel, 1, padding), conv_out_size(w, kernel, 1, padding)
+        g = rng.standard_normal((2, 8, oh, ow)).astype(np.float32)
+        got = conv_and_grads(x, wt, b, padding, g)
+        want = reference_conv2d(x, wt, b, 1, padding, g)
+        for a, r in zip(got, want):
+            assert a.dtype == np.float32 and a.flags.c_contiguous
+            np.testing.assert_allclose(a, r, rtol=1e-4, atol=1e-3)
+
+    def test_dispatch_by_input_shape(self, monkeypatch):
+        def no_im2col(*args):
+            raise AssertionError("im2col called")
+        monkeypatch.setattr(layers, "_image_to_cols", no_im2col)
+        rng = np.random.default_rng(0)
+        # the desk decoder's shapes take the tap path, forward and backward
+        for c, oc, side in [(16, 8, 64), (8, 8, 64), (32, 16, 32), (96, 16, 16)]:
+            x = Tensor(rng.standard_normal((4, c, side, side)).astype(np.float32),
+                       requires_grad=True)
+            w = Tensor(rng.standard_normal((oc, c, 3, 3)).astype(np.float32), requires_grad=True)
+            backward(conv2d(x, w, padding=1).sum())
+            assert x.grad.shape == x.shape and w.grad.shape == w.shape
+        # small planes, strided and 1x1 convs stay on im2col
+        for shape, w, stride in [((4, 32, 8, 8), (32, 32, 3, 3), 1),
+                                 ((4, 16, 15, 17), (8, 16, 3, 3), 1),
+                                 ((4, 16, 64, 64), (8, 16, 3, 3), 2),
+                                 ((4, 16, 64, 64), (8, 16, 1, 1), 1)]:
+            with pytest.raises(AssertionError, match="im2col called"):
+                conv2d(Tensor(np.zeros(shape, np.float32)), Tensor(np.zeros(w, np.float32)),
+                       stride=stride, padding=w[2] // 2)
 
 
 class TestMaxPool:

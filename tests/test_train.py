@@ -165,6 +165,11 @@ class TestAdam:
             Adam(p, beta1=1.0)
         with pytest.raises(ConfigError):
             Adam({})
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError, match="learning rate"):
+                Adam(p, lr=bad)
+            with pytest.raises(ConfigError, match="eps"):
+                Adam(p, eps=bad)
 
 
 class TestRunConfig:
@@ -251,6 +256,16 @@ class TestRunConfig:
         for kw in bad:
             with pytest.raises(ConfigError):
                 dataclasses.replace(base, **kw).validate()
+
+    def test_validate_rejects_non_finite_floats(self):
+        keys = [key for key, hint in config_fields(RunConfig) if hint is float]
+        assert {"optimizer.lr", "optimizer.eps", "loss.dice_weight", "split.fraction",
+                "min_foreground"} <= set(keys)
+        for key in keys:
+            for value in (float("nan"), float("inf"), float("-inf")):
+                cfg = RunConfig.from_dict(with_value(key, value))
+                with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be finite"):
+                    cfg.validate()
 
     def test_val_on_train_skips_fraction_check(self):
         cfg = tiny_config("out", val_on_train=True,
