@@ -10,8 +10,10 @@ ordering read in C order.
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import struct
+import zlib
 
 import numpy as np
 
@@ -31,13 +33,18 @@ _CODE_FOR_DTYPE = {dt: code for code, dt in _DATATYPES.items()}
 
 
 def _read_bytes(path, limit: int = -1) -> bytes:
-    """The file's bytes, gunzipped for `.gz`; at most `limit` of them when given."""
+    """The file's bytes, gunzipped for `.gz`; at most `limit` of them when given.
+
+    A truncated or corrupt gzip stream is a FormatError naming the file.
+    """
     opener = gzip.open if str(path).endswith(".gz") else open
     try:
         with opener(path, "rb") as fh:
             return fh.read(limit)
     except FileNotFoundError:
         raise DataError(f"volume file not found: {path}") from None
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise FormatError(f"corrupt gzip stream in {path}: {exc}") from None
 
 
 def read_nifti(path: str | os.PathLike) -> np.ndarray:
@@ -98,7 +105,14 @@ def read_nifti(path: str | os.PathLike) -> np.ndarray:
     # x varies fastest on disk, so a C-order reshape gives [z, y, x] = [D, H, W]
     vol = raw.reshape(nz, ny, nx).astype(base, copy=True)
     if scl_slope != 0.0 and (scl_slope != 1.0 or scl_inter != 0.0):
-        vol = (vol.astype(np.float32) * np.float32(scl_slope) + np.float32(scl_inter))
+        if not (math.isfinite(scl_slope) and math.isfinite(scl_inter)):
+            raise FormatError(f"non-finite scl_slope/scl_inter at byte 112 in {path}")
+        try:
+            with np.errstate(over="raise"):
+                vol = (vol.astype(np.float32) * np.float32(scl_slope) + np.float32(scl_inter))
+        except FloatingPointError:
+            raise FormatError(f"scl_slope/scl_inter at byte 112 overflow float32 "
+                              f"in {path}") from None
     return vol
 
 

@@ -4,7 +4,8 @@ Activations use NCHW layout and float32 storage; float64 is supported so
 gradients can be checked against central finite differences without noise.
 Each differentiable operation appends one node to a thread-local tape during
 the forward pass. ``backward`` replays the tape in strict reverse order,
-accumulating gradients (by addition) into every tensor that requires them,
+accumulating gradients (by addition) into every tensor that requires them
+and releasing each intermediate gradient once its node has consumed it,
 then clears the tape, so every training step records a fresh graph.
 
 Broadcasting is deliberately narrow: equal shapes, a channel-parameter
@@ -187,10 +188,13 @@ def record(op: str, inputs: Sequence[Tensor], out_data: Array,
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every tensor the scalar loss depends on.
+    """Populate ``grad`` on every leaf tensor the scalar loss depends on.
 
-    Gradients from multiple consumers accumulate by addition. The tape is
-    cleared afterwards even if a gradient rule raises.
+    Gradients from multiple consumers accumulate by addition. Each node's
+    output gradient is released as soon as that node's rule has run, so
+    intermediate tensors (the loss included) end with ``grad`` None and only
+    leaves, such as parameters, keep theirs. The tape is cleared afterwards
+    even if a gradient rule raises.
     """
     tape = _tape()
     try:
@@ -204,6 +208,7 @@ def backward(loss: Tensor) -> None:
             if gout is None:
                 continue
             gins = node.grad_fn(gout)
+            node.output.grad = None
             for t, g in zip(node.inputs, gins):
                 if g is None or not t.requires_grad:
                     continue

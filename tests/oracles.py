@@ -44,6 +44,17 @@ def naive_conv2d(x, w, b=None, stride=1, padding=0):
     return out
 
 
+def naive_conv2d_input_grad(g, w, x_shape, stride=1, padding=0):
+    """Gradient of sum(naive_conv2d(x, w) * g) with respect to x."""
+    n, c, h, wd = x_shape
+    _, _, kh, kw = w.shape
+    gxp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), dtype=g.dtype)
+    for ni, oi, yi, xi in np.ndindex(*g.shape):
+        gxp[ni, :, yi * stride:yi * stride + kh, xi * stride:xi * stride + kw] += \
+            g[ni, oi, yi, xi] * w[oi]
+    return gxp[:, :, padding:padding + h, padding:padding + wd]
+
+
 def naive_maxpool2d(x, kernel, stride, padding=0):
     n, c, h, w = x.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
@@ -173,6 +184,28 @@ def oracle_accuracy(pred, target):
     p = _flat_ints(pred)
     t = _flat_ints(target)
     return sum(1 for a, b in zip(p, t) if a == b) / len(p)
+
+
+# ---------------------------------------------------------------------------
+# optimizer reference: the whole-array Adam update that Adam.step replaced
+
+
+def reference_adam_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Step t of Adam on whole arrays, in place: the formula the chunked update keeps.
+
+    A missing gradient counts as zeros. Returns nothing; params, m and v move.
+    """
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for name, p in params.items():
+        g = grads[name] if grads[name] is not None else np.zeros_like(p)
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * np.square(g)
+        mhat = m[name] / bc1
+        vhat = v[name] / bc2
+        p -= lr * mhat / (np.sqrt(vhat) + eps)
 
 
 # ---------------------------------------------------------------------------

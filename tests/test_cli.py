@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, end-to-end flows."""
 
+import gzip
 import json
 import os
 import shutil
@@ -181,6 +182,19 @@ class TestEvalCommand:
             err = capsys.readouterr().err
             assert err.startswith("data error:") and "at byte" in err
 
+
+    def test_truncated_case_file_is_data_error(self, cli_run, tmp_path, capsys):
+        root = tmp_path / "cases"
+        assert run_cli("synth", "--out", str(root), "--cases", "2", "--seed", "3",
+                       "--dims", "8x64x64") == 0
+        flair = root / "synth_001" / "synth_001_flair.nii"
+        packed = gzip.compress(flair.read_bytes())
+        flair.unlink()
+        flair.with_name(flair.name + ".gz").write_bytes(packed[:len(packed) // 2])
+        assert run_cli("eval", "--ckpt", str(cli_run / "best.ckpt"), "--data", str(root),
+                       "--split", "all") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "synth_001_flair.nii.gz" in err
 
     def test_wrongly_typed_model_section_is_config_error(self, cli_run, tmp_path, capsys):
         ckpt = load_checkpoint(cli_run / "last.ckpt")

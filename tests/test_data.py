@@ -1,5 +1,6 @@
 """Data pipeline: transforms, case IO, splits, synthetic volumes, containers."""
 
+import collections
 import gzip
 import struct
 
@@ -415,6 +416,56 @@ class TestNiftiReader:
         short.write_bytes(build_nifti_bytes(arr[:1, :1, :1])[:200])
         with pytest.raises(FormatError):
             read_spacing(short)
+
+
+class TestHostileVolumeFiles:
+    """Every truncation and single-byte flip of a small file reads or raises a DataError."""
+
+    @pytest.mark.parametrize("name", ["v.nii", "v.nii.gz", "v.svol"])
+    def test_every_prefix_and_byte_flip(self, tmp_path, name):
+        arr = np.arange(24, dtype=np.int16).reshape(2, 3, 4)
+        path = tmp_path / name
+        if name.endswith(".svol"):
+            write_svol(path, arr)
+            readers = (read_svol,)
+        else:
+            write_nifti(path, arr, spacing=(2.0, 1.0, 0.5))
+            readers = (read_nifti, read_spacing)
+        blob = path.read_bytes()
+        variants = [blob[:k] for k in range(len(blob))]
+        variants += [blob[:i] + bytes([blob[i] ^ flip]) + blob[i + 1:]
+                     for i in range(len(blob)) for flip in (0x01, 0x80, 0xFF)]
+        outcomes = collections.Counter()
+        for data in variants:
+            path.write_bytes(data)
+            for read in readers:
+                try:
+                    read(path)
+                    outcomes["read"] += 1
+                except DataError as exc:    # FormatError included; anything else fails
+                    outcomes[type(exc).__name__] += 1
+        assert set(outcomes) == {"read", "FormatError"}
+        # read_nifti rejects every truncation, since each one cuts the payload
+        assert outcomes["FormatError"] >= len(blob)
+
+    def test_gzip_faults_name_the_file(self, tmp_path):
+        path = tmp_path / "v.nii.gz"
+        write_nifti(path, np.zeros((2, 3, 4), dtype=np.int16))
+        blob = path.read_bytes()
+        for data in (blob[:len(blob) // 2],                  # stream ends early
+                     b"\x1f\x8c" + blob[2:],                  # not a gzip magic
+                     blob[:-8] + bytes(8)):                   # CRC and length wrong
+            path.write_bytes(data)
+            with pytest.raises(FormatError, match="corrupt gzip stream in .*v.nii.gz"):
+                read_nifti(path)
+
+    def test_scaling_must_stay_finite(self, tmp_path):
+        data = np.full((1, 1, 2), 30000, dtype=np.int16)
+        path = tmp_path / "s.nii"
+        for scl in ((float("nan"), 0.0), (1.0, float("inf")), (3e38, 0.0)):
+            path.write_bytes(build_nifti_bytes(data, datatype=4, scl=scl))
+            with pytest.raises(FormatError, match="byte 112"):
+                read_nifti(path)
 
 
 class TestCaseIO:

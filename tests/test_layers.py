@@ -11,8 +11,8 @@ from segforge.layers import (TAP_MIN_PLANE, BatchNorm2d, Conv2d, Dense, Module,
                              upsample_nearest)
 from segforge.tensor import Tensor, backward, mul
 
-from oracles import (grad_check, naive_conv2d, naive_maxpool2d, nchw_cols_to_image,
-                     reference_conv2d, window_im2col)
+from oracles import (grad_check, naive_conv2d, naive_conv2d_input_grad, naive_maxpool2d,
+                     nchw_cols_to_image, reference_conv2d, window_im2col)
 
 
 def randt(seed, *dims, scale=1.0):
@@ -62,6 +62,32 @@ class TestConv2d:
                    Tensor(np.zeros(5, dtype=np.float32)))  # wrong bias length
         with pytest.raises(ContractError):
             conv2d(x, Tensor(np.zeros((4, 3, 3, 3), dtype=np.float32)), stride=0)
+
+    # the 7x7 stem and a 3x3 stride-2 conv take im2col; the 16x16 3x3 conv takes taps
+    @pytest.mark.parametrize("stride,padding,kernel,size", [(2, 3, 7, 17), (2, 1, 3, 9),
+                                                            (1, 1, 3, 16)])
+    def test_input_gradient_only_when_needed(self, stride, padding, kernel, size, monkeypatch):
+        def grads(x, w, b, g, need_gx):
+            xt = Tensor(x, requires_grad=need_gx)
+            wt, bt = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+            out = conv2d(xt, wt, bt, stride, padding)
+            backward(mul(out, Tensor(g)).sum())   # upstream gradient into conv2d is exactly g
+            return xt.grad, wt.grad, bt.grad
+
+        osize = conv_out_size(size, kernel, stride, padding)
+        shapes = ((2, 3, size, size), (4, 3, kernel, kernel), (4,), (2, 4, osize, osize))
+        rng = np.random.default_rng(size)
+        x, w, b, g = (rng.standard_normal(s).astype(np.float32) for s in shapes)
+        _, want_gw, want_gb = grads(x, w, b, g, need_gx=True)
+        with monkeypatch.context() as m:
+            m.setattr(layers, "_cols_to_image", lambda *a: pytest.fail("col2im ran"))
+            gx, gw, gb = grads(x, w, b, g, need_gx=False)
+        assert gx is None
+        assert gw.tobytes() == want_gw.tobytes() and gb.tobytes() == want_gb.tobytes()
+
+        x, w, b, g = (int_valued(seed, *s) for seed, s in enumerate(shapes))
+        gx, _, _ = grads(x, w, b, g, need_gx=True)
+        assert np.array_equal(gx, naive_conv2d_input_grad(g, w, x.shape, stride, padding))
 
     def test_layer_class_walks_parameters(self):
         layer = Conv2d(3, 8, 3, padding=1)
@@ -314,6 +340,29 @@ class TestPoolingAndShapeOps:
                               [x]) < 1e-4
         with pytest.raises(ContractError):
             upsample_nearest(x, 0)
+
+    # every decoder upsample input of the desk (N=4, 64x64) and full (N=2, 128x128) steps
+    @pytest.mark.parametrize("shape", [(4, 512, 2, 2), (4, 64, 4, 4), (4, 32, 8, 8),
+                                       (4, 16, 16, 16), (4, 16, 32, 32),
+                                       (2, 2048, 4, 4), (2, 256, 8, 8), (2, 128, 16, 16),
+                                       (2, 64, 32, 32), (2, 32, 64, 64)])
+    def test_upsample_factor_two_gradient_equals_reshape_sum(self, shape):
+        n, c, h, w = shape
+        x = Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
+        out = upsample_nearest(x, 2)
+        g = np.random.default_rng(h).standard_normal(out.shape).astype(np.float32)
+        backward(mul(out, Tensor(g)).sum())
+        want = g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
+        assert x.grad.tobytes() == want.tobytes()
+
+    def test_upsample_other_factors_gradient(self):
+        for seed in range(3):
+            x = randt(seed, 2, 3, 3, 2)
+            assert grad_check(lambda: (upsample_nearest(x, 3) * upsample_nearest(x, 3)).sum(),
+                              [x]) < 1e-4
+        x = Tensor(np.arange(6.0).reshape(1, 1, 2, 3), requires_grad=True)
+        backward(upsample_nearest(x, 3).sum())
+        np.testing.assert_array_equal(x.grad, np.full((1, 1, 2, 3), 9.0))
 
     def test_concat_channels_value_and_gradient(self):
         a = randt(0, 2, 3, 4, 4)

@@ -73,6 +73,17 @@ class TestTape:
         backward(loss)
         assert x.grad[0] == pytest.approx(8.0)
 
+    def test_leaves_keep_grads_and_intermediates_release_theirs(self):
+        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        w = Tensor([0.5, 4.0, -1.5], requires_grad=True)
+        h = x * w
+        y = h * h + h * 3.0     # h has two consumers
+        loss = y.sum()
+        backward(loss)
+        np.testing.assert_array_equal(x.grad, (2.0 * h.data + 3.0) * w.data)
+        np.testing.assert_array_equal(w.grad, (2.0 * h.data + 3.0) * x.data)
+        assert h.grad is None and y.grad is None and loss.grad is None
+
     def test_no_grad_suspends_recording(self):
         x = Tensor([1.0], requires_grad=True)
         with no_grad():

@@ -14,11 +14,11 @@ from segforge.checkpoint import (CheckpointData, load_checkpoint,
 from segforge.data import (MODALITIES, extract_slices, load_data_root,
                            synth_case, write_case)
 from segforge.errors import (ConfigError, ContractError, DataError,
-                             FormatError, NumericError)
+                             FormatError, NumericError, ShapeError)
 from segforge.layers import BatchNorm2d, Conv2d, Module
 from segforge.metrics import binary_dice
 from segforge.model import PRESETS, ConfigDocument, build_model
-from segforge.optim import Adam
+from segforge.optim import CHUNK, Adam
 from segforge.svol import read_svol
 from segforge.tensor import Tensor, no_grad
 from segforge.train import (CURVES_HEADER, MetricAccumulator, MetricRecord,
@@ -27,7 +27,7 @@ from segforge.train import (CURVES_HEADER, MetricAccumulator, MetricRecord,
                             run_preset, train)
 
 from oracles import (oracle_accuracy, oracle_dice, oracle_iou,
-                     oracle_mean_iou)
+                     oracle_mean_iou, reference_adam_step)
 
 TINY_ROOT = "synth:cases=2,seed=3,dims=8x64x64"
 
@@ -170,6 +170,74 @@ class TestAdam:
                 Adam(p, lr=bad)
             with pytest.raises(ConfigError, match="eps"):
                 Adam(p, eps=bad)
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: signed zeros must match too."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestChunkedAdam:
+    """Adam.step walks parameters in CHUNK-element pieces, bit-identical to whole arrays."""
+
+    SIZES = {"below": (CHUNK - 1,), "at": (CHUNK,), "above": (CHUNK + 1,),
+             "many": (3 * CHUNK + 7,), "conv": (4, 3, 3, 3), "nograd": (CHUNK + 5,)}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_steps_equal_whole_array_reference(self, dtype):
+        rng = np.random.default_rng(11)
+        params, ref, state = {}, {}, {}
+        for name, shape in self.SIZES.items():
+            params[name] = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+            ref[name] = params[name].data.copy()
+            # resumed moments holding -0.0, which a zero gradient's +0.0 term clears
+            m = rng.standard_normal(shape).astype(dtype) * dtype(1e-3)
+            m.reshape(-1)[::5] = -0.0
+            v = np.abs(rng.standard_normal(shape)).astype(dtype) * dtype(1e-6)
+            v.reshape(-1)[::3] = 0.0
+            state[f"adam.m:{name}"], state[f"adam.v:{name}"] = m, v
+        opt = Adam(params, lr=1e-3)
+        opt.load_state(state, step_count=3)
+        ref_m = {n: state[f"adam.m:{n}"].copy() for n in params}
+        ref_v = {n: state[f"adam.v:{n}"].copy() for n in params}
+        for t in range(4, 9):
+            grads = {}
+            for name, p in params.items():
+                scale = 10.0 ** rng.integers(-6, 3)
+                grads[name] = None if name == "nograd" else \
+                    (rng.standard_normal(p.shape) * scale).astype(dtype)
+                p.grad = grads[name]
+            opt.step()
+            reference_adam_step(ref, grads, ref_m, ref_v, t, lr=1e-3)
+            for name, p in params.items():
+                assert same_bits(p.data, ref[name]), (name, t)
+                assert same_bits(opt.m[name], ref_m[name]), (name, t)
+                assert same_bits(opt.v[name], ref_v[name]), (name, t)
+        m = opt.m["nograd"]
+        assert not np.any((m == 0) & np.signbit(m))     # -0.0*b1 + 0.0 is +0.0
+
+    def test_nonfinite_gradient_leaves_that_parameter_untouched(self):
+        rng = np.random.default_rng(3)
+        params = {name: Tensor(rng.standard_normal(CHUNK + 3).astype(np.float32),
+                               requires_grad=True) for name in ("a", "b")}
+        opt = Adam(params, lr=1e-2)
+        for p in params.values():
+            p.grad = rng.standard_normal(p.shape).astype(np.float32)
+        opt.step()
+        before = [a.copy() for a in (params["b"].data, opt.m["b"], opt.v["b"])]
+        params["b"].grad[CHUNK + 1] = np.nan    # in the second chunk
+        with pytest.raises(NumericError,
+                           match=r"^non-finite gradient for parameter 'b' at step 2$"):
+            opt.step()
+        after = (params["b"].data, opt.m["b"], opt.v["b"])
+        assert all(same_bits(x, y) for x, y in zip(before, after))
+
+    def test_gradient_of_another_shape_is_rejected(self):
+        p = Tensor(np.zeros((2, 3)), requires_grad=True)
+        opt = Adam({"w": p})
+        p.grad = np.zeros(6)
+        with pytest.raises(ShapeError, match="'w'"):
+            opt.step()
 
 
 class TestRunConfig:
