@@ -42,6 +42,7 @@ backward without them, against 14.1 ms with them.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Iterator, Optional
 
 import numpy as np
@@ -330,16 +331,15 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     if int(factor) != factor or factor < 1:
         raise ContractError(f"upsample factor must be a positive integer, got {factor}")
     factor = int(factor)
-    n, c, h, w = x.shape
     out = x.data.repeat(factor, axis=2).repeat(factor, axis=3)
 
     def grad_fn(g):
-        if factor == 2:
-            # four strided adds, 10-15x faster than the reshape-sum; only
-            # this pairing reproduces the sum's rounding bit for bit
-            return ((g[:, :, 0::2, 0::2] + g[:, :, 0::2, 1::2])
-                    + (g[:, :, 1::2, 0::2] + g[:, :, 1::2, 1::2]),)
-        return (g.reshape(n, c, h, factor, w, factor).sum(axis=(3, 5)),)
+        # strided adds, row by row, then the row sums: 10-15x faster than a
+        # reshape-sum, and for factor 2 ((g00+g01)+(g10+g11)) the one pairing
+        # that reproduces its rounding bit for bit
+        rows = (reduce(np.add, (g[:, :, i::factor, j::factor] for j in range(factor)))
+                for i in range(factor))
+        return (reduce(np.add, rows),)
 
     return record("upsample_nearest", (x,), out, grad_fn)
 

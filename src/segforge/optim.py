@@ -58,14 +58,18 @@ class Adam:
         """One Adam update from the .grad fields; missing grads count as zero.
 
         Per element, in this order: m = m*b1 + g*(1-b1); v = v*b2 + g*g*(1-b2);
-        p -= (m/bc1)*lr / (sqrt(v/bc2) + eps), applied chunk by chunk.
+        p -= (m/bc1)*lr / (sqrt(v/bc2) + eps), applied chunk by chunk. Every
+        term rounds in the parameter's dtype, which is also the dtype of each
+        gradient that `backward` leaves.
         """
         self.step_count += 1
         t = self.step_count
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         bc1 = 1.0 - b1 ** t
         bc2 = 1.0 - b2 ** t
-        scratch: dict = {}
+        # two CHUNK-sized buffers per parameter dtype, reused across chunks
+        scratch = {dt: np.empty((2, CHUNK), dtype=dt)
+                   for dt in {p.data.dtype for p in self.params.values()}}
         for name, p in self.params.items():
             g = p.grad
             if g is None:
@@ -76,16 +80,17 @@ class Adam:
             elif g.shape != p.data.shape:
                 raise ShapeError(f"gradient shape {g.shape} does not match "
                                  f"parameter '{name}' {p.data.shape}")
-            # gradient terms round in g's result dtype, the update in the parameter's
-            gbuf = _scratch(scratch, np.result_type(g.dtype, 1.0))[0]
-            ubuf, dbuf = _scratch(scratch, p.data.dtype)
-            flats = [a.reshape(-1, copy=False) for a in (p.data, self.m[name], self.v[name])]
+            ubuf, dbuf = scratch[p.data.dtype]
+            # p.data, m and v are C-contiguous, so these are views
+            flats = [a.reshape(-1) for a in (p.data, self.m[name], self.v[name])]
             gflat = g.reshape(-1)
             for lo in range(0, gflat.size, CHUNK):
                 pc, mc, vc = (a[lo:lo + CHUNK] for a in flats)
                 gc = gflat[lo:lo + CHUNK]
                 k = gc.size
-                tmp, upd, den = gbuf[:k], ubuf[:k], dbuf[:k]
+                # the gradient terms are spent before the update reuses their buffer
+                tmp = upd = ubuf[:k]
+                den = dbuf[:k]
                 mc *= b1
                 mc += np.multiply(gc, 1.0 - b1, out=tmp)
                 vc *= b2
@@ -111,12 +116,5 @@ class Adam:
                 if arr.shape != p.data.shape:
                     raise ConfigError(f"optimizer state shape {arr.shape} does not "
                                       f"match parameter '{name}' {p.data.shape}")
-                store[name] = arr.astype(p.data.dtype, copy=True)
+                store[name] = arr.astype(p.data.dtype, order="C", copy=True)
         self.step_count = int(step_count)
-
-
-def _scratch(cache: dict, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Two CHUNK-sized buffers of `dtype`, made once per step and reused."""
-    if dtype not in cache:
-        cache[dtype] = (np.empty(CHUNK, dtype=dtype), np.empty(CHUNK, dtype=dtype))
-    return cache[dtype]

@@ -232,6 +232,21 @@ class TestChunkedAdam:
         after = (params["b"].data, opt.m["b"], opt.v["b"])
         assert all(same_bits(x, y) for x, y in zip(before, after))
 
+    def test_fortran_ordered_moments_are_updated_in_place(self):
+        rng = np.random.default_rng(5)
+        w = rng.standard_normal((CHUNK // 100, 300)).astype(np.float32)
+        p = Tensor(w, requires_grad=True)
+        ref, m, v = w.copy(), np.full_like(w, 1e-3), np.full_like(w, 1e-6)
+        opt = Adam({"w": p}, lr=1e-3)
+        opt.load_state({"adam.m:w": np.asfortranarray(m), "adam.v:w": np.asfortranarray(v)}, 1)
+        ref_m, ref_v = {"w": m.copy()}, {"w": v.copy()}
+        g = rng.standard_normal(w.shape).astype(np.float32)
+        p.grad = g
+        opt.step()
+        reference_adam_step({"w": ref}, {"w": g}, ref_m, ref_v, 2, lr=1e-3)
+        assert same_bits(p.data, ref)
+        assert same_bits(opt.m["w"], ref_m["w"]) and same_bits(opt.v["w"], ref_v["w"])
+
     def test_gradient_of_another_shape_is_rejected(self):
         p = Tensor(np.zeros((2, 3)), requires_grad=True)
         opt = Adam({"w": p})
