@@ -14,11 +14,11 @@ summed; the columns whose window crosses a padded image's edge are junk and
 are cropped. Backward puts the upstream gradient on the same grid, zero in
 the junk columns, and runs two GEMMs per tap: one for the tap's weight
 gradient and one whose result is added into the input gradient at the
-tap's offset. No 9x-inflated im2col matrix is built, and the tape keeps
-only `xp`. The taps split each output's reduction over (c, kh, kw) into kh*kw
-partial sums, so results differ from im2col's in the last bits. On a 2-vCPU
-host with 2 OpenBLAS threads, a (4,16,64x64)->8 3x3 conv took 2.0 ms
-forward and 5.0 ms backward on taps, against 8.5 ms and 10.3 ms on im2col.
+tap's offset. No 9x-inflated im2col matrix is built. The taps split each
+output's reduction over (c, kh, kw) into kh*kw partial sums, so results
+differ from im2col's in the last bits. On a 2-vCPU host with 2 OpenBLAS
+threads, a (4,16,64x64)->8 3x3 conv took 2.0 ms forward and 5.0 ms backward
+on taps, against 8.5 ms and 10.3 ms on im2col.
 Below 16x16 the junk columns cost more than im2col saves: (2,256,8x8)->256
 took 3.5 ms forward and 8.5 ms backward on taps, against 1.9 and 3.7 ms.
 
@@ -38,6 +38,28 @@ Backward on either lowering skips the input-gradient GEMMs (and col2im) when
 the input needs no gradient. In a model only the stem's input, the image
 batch, is such a tensor: the full stem (2,3,128x128)->64 took 3.2 ms
 backward without them, against 14.1 ms with them.
+
+What the tape keeps. Each node holds its inputs and its output, and its
+gradient rule recomputes whatever else it needs from them instead of
+keeping a second copy (recomputation in backward: Chen et al.,
+arXiv:1604.06174):
+- conv2d: nothing more. Backward rebuilds `xp` and the per-tap weights, or
+  `cols`, with the forward's own code, one extra gather per conv.
+- batch_norm: two per-channel vectors, the mean it subtracted (in eval
+  mode a snapshot of the running mean) and 1/std. Backward recomputes
+  `xhat` with the forward's subtraction and product, so it has the
+  forward's bytes. With relu=True the ReLU runs in place on the output,
+  which is the node's one activation, and the rule takes its mask from
+  `out > 0` (In-Place Activated BatchNorm: Rota Bulo, Porzi & Kontschieder,
+  arXiv:1712.02616). The model fuses every BN that a ReLU follows: the
+  stem's, `bn1` and `bn2` of each bottleneck and both of each decoder stage.
+- maxpool2d: the index of each window's maximum.
+- upsample_nearest, concat_channels, global_avg_pool: nothing more.
+One training-mode desk forward at N=4, 64x64 keeps 12.1 MB on the tape
+(30.4 MB when batch norm kept `xhat`, each ReLU its mask and conv2d its
+lowering), and one full-preset forward at N=2, 128x128 keeps 261 MB (519 MB),
+parameters not counted. Recomputing is sound because no recorded array is
+written in place before backward (see `tensor.backward`).
 """
 
 from __future__ import annotations
@@ -110,16 +132,16 @@ def _im2col_conv(x, weight, b, osize, stride, padding):
     n, c, h, w = x.shape
     oc, _, kh, kw = weight.shape
     oh, ow = osize
-    cols = _image_to_cols(x, (kh, kw), osize, stride, padding)
     wmat = weight.reshape(oc, -1)
-    flat = cols @ wmat.T
+    flat = _image_to_cols(x, (kh, kw), osize, stride, padding) @ wmat.T
     if b is not None:
         flat += b
     out = np.ascontiguousarray(flat.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2))
 
     def backprop(g, need_gx):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, oc)
-        gw = (g2.T @ cols).reshape(weight.shape)
+        # `cols` is rebuilt from x by the same gather rather than kept on the tape
+        gw = (g2.T @ _image_to_cols(x, (kh, kw), osize, stride, padding)).reshape(weight.shape)
         if not need_gx:
             return None, gw
         gx = _cols_to_image(g2 @ wmat, x.shape, (kh, kw), osize, stride, padding)
@@ -143,11 +165,16 @@ def _tap_conv(x, weight, b, padding):
     oh, ow = hp - kh + 1, wp - kw + 1
     m = n * hp * wp
     offsets = [i * wp + j for i in range(kh) for j in range(kw)]
-    xp = np.zeros((c, m + offsets[-1]), dtype=x.dtype)
-    xp[:, :m].reshape(c, n, hp, wp)[:, :, padding:padding + h, padding:padding + w] = \
-        x.transpose(1, 0, 2, 3)
-    taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1)).reshape(kh * kw, oc, c)
 
+    def operands():
+        # built in the forward pass and rebuilt in backward, never kept
+        xp = np.zeros((c, m + offsets[-1]), dtype=x.dtype)
+        xp[:, :m].reshape(c, n, hp, wp)[:, :, padding:padding + h, padding:padding + w] = \
+            x.transpose(1, 0, 2, 3)
+        taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1)).reshape(kh * kw, oc, c)
+        return xp, taps
+
+    xp, taps = operands()
     acc = taps[0] @ xp[:, :m]
     tmp = np.empty_like(acc)
     for t in range(1, kh * kw):
@@ -157,6 +184,7 @@ def _tap_conv(x, weight, b, padding):
         out += b.reshape(1, oc, 1, 1)
 
     def backprop(g, need_gx):
+        xp, taps = operands()
         # g and gx on xp's grid, channels-last: zero in the junk rows of `gq`
         gq = np.zeros((m, oc), dtype=g.dtype)
         gq.reshape(n, hp, wp, oc)[:, :oh, :ow] = g.transpose(0, 2, 3, 1)
@@ -222,11 +250,15 @@ def _cols_to_image(gcols, x_shape, ksize, osize, stride, padding):
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
                training: bool, momentum: float = BN_MOMENTUM, eps: float = BN_EPS,
-               update_running: bool = True) -> Tensor:
-    """Per-channel normalization.
+               update_running: bool = True, relu: bool = False) -> Tensor:
+    """Per-channel normalization, optionally followed by a ReLU in the same node.
 
     Train mode normalizes by batch statistics and (optionally) updates the
     running estimates in place; eval mode is a fixed affine map of the input.
+    With relu=True the ReLU runs in place on the output, and the gradient
+    rule takes its mask from `out > 0`. The rule recomputes `xhat` from the
+    input with the forward's own ops, so the node keeps only per-channel
+    vectors besides its input and output.
     """
     if x.ndim != 4:
         raise ShapeError(f"batch_norm needs rank-4 input, got {x.shape}")
@@ -235,42 +267,61 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         raise ShapeError(f"batch_norm params must have shape ({c},)")
     if running_mean.shape != (c,) or running_var.shape != (c,):
         raise ShapeError(f"batch_norm running stats must have shape ({c},)")
+    chan = (1, c, 1, 1)
 
     if training:
         m = n * h * w
         if m < 2:
             raise ContractError("batch_norm train mode needs at least 2 values per channel")
-        mu = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        shift = x.data.mean(axis=(0, 2, 3))
+        xhat = x.data - shift.reshape(chan)
+        var = _centred_var(xhat)
         invstd = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mu.reshape(1, c, 1, 1)) * invstd.reshape(1, c, 1, 1)
+        xhat *= invstd.reshape(chan)
         if update_running:
             running_mean *= 1.0 - momentum
-            running_mean += momentum * mu
+            running_mean += momentum * shift
             running_var *= 1.0 - momentum
             running_var += momentum * var * (m / (m - 1.0))
     else:
+        # a snapshot: a later train-mode call updates running_mean in place
+        shift = running_mean.copy()
         invstd = 1.0 / np.sqrt(running_var + eps)
-        xhat = (x.data - running_mean.reshape(1, c, 1, 1)) * invstd.reshape(1, c, 1, 1)
+        xhat = (x.data - shift.reshape(chan)) * invstd.reshape(chan)
 
-    out = gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1)
+    out = gamma.data.reshape(chan) * xhat + beta.data.reshape(chan)
+    if relu:
+        np.maximum(out, 0, out=out)
 
     def grad_fn(g):
+        if relu:
+            g = g * (out > 0)
+        xhat = (x.data - shift.reshape(chan)) * invstd.reshape(chan)
         gbeta = g.sum(axis=(0, 2, 3))
         ggamma = (g * xhat).sum(axis=(0, 2, 3))
         if training:
             m = n * h * w
-            gxhat = g * gamma.data.reshape(1, c, 1, 1)
-            gx = (invstd.reshape(1, c, 1, 1) / m) * (
+            gxhat = g * gamma.data.reshape(chan)
+            gx = (invstd.reshape(chan) / m) * (
                 m * gxhat
                 - gxhat.sum(axis=(0, 2, 3), keepdims=True)
                 - xhat * (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
             )
         else:
-            gx = g * (gamma.data * invstd).reshape(1, c, 1, 1)
+            gx = g * (gamma.data * invstd).reshape(chan)
         return gx, ggamma, gbeta
 
     return record("batch_norm", (x, gamma, beta), out, grad_fn)
+
+
+def _centred_var(xc):
+    """Per-channel variance of an NCHW array already centred by its mean.
+
+    np.var's own steps after its subtraction (square, sum, divide by an intp
+    count), so the result has `x.var(axis=(0, 2, 3))`'s bytes.
+    """
+    var = np.square(xc).sum(axis=(0, 2, 3))
+    return np.true_divide(var, np.intp(xc.size // xc.shape[1]), out=var, casting="unsafe")
 
 
 def maxpool2d(x: Tensor, kernel: int, stride: Optional[int] = None, padding: int = 0) -> Tensor:
@@ -436,11 +487,11 @@ class BatchNorm2d(Module):
         self.running_var = np.ones(channels, dtype=dtype)
 
     def __call__(self, x: Tensor, training: bool = False,
-                 update_running: Optional[bool] = None) -> Tensor:
+                 update_running: Optional[bool] = None, relu: bool = False) -> Tensor:
         update = training if update_running is None else update_running
         return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
                           training=training, momentum=self.momentum, eps=self.eps,
-                          update_running=update)
+                          update_running=update, relu=relu)
 
 
 class Dense(Module):

@@ -158,8 +158,8 @@ class Bottleneck(Module):
             self.down_bn = None
 
     def __call__(self, x: Tensor, training: bool = False) -> Tensor:
-        y = relu(self.bn1(self.conv1(x), training))
-        y = relu(self.bn2(self.conv2(y), training))
+        y = self.bn1(self.conv1(x), training, relu=True)
+        y = self.bn2(self.conv2(y), training, relu=True)
         y = self.se(self.bn3(self.conv3(y), training))
         if self.down_conv is not None:
             shortcut = self.down_bn(self.down_conv(x), training)
@@ -187,7 +187,7 @@ class Encoder(Module):
             self.stages.append(blocks)
 
     def __call__(self, x: Tensor, training: bool = False) -> tuple[Tensor, ...]:
-        e1 = relu(self.stem_bn(self.stem_conv(x), training))
+        e1 = self.stem_bn(self.stem_conv(x), training, relu=True)
         y = maxpool2d(e1, 3, stride=2, padding=1)
         taps = [e1]
         for blocks in self.stages:
@@ -213,8 +213,8 @@ class DecoderStage(Module):
             y = concat_channels(y, skip)
         elif self.skip_channels:
             raise ShapeError("decoder stage built with a skip input but none was given")
-        y = relu(self.bn1(self.conv1(y), training))
-        return relu(self.bn2(self.conv2(y), training))
+        y = self.bn1(self.conv1(y), training, relu=True)
+        return self.bn2(self.conv2(y), training, relu=True)
 
 
 class SegmentationModel(Module):

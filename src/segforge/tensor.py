@@ -195,6 +195,15 @@ def backward(loss: Tensor) -> None:
     intermediate tensors (the loss included) end with ``grad`` None and only
     leaves, such as parameters, keep theirs. The tape is cleared afterwards
     even if a gradient rule raises.
+
+    Until then the tape keeps each node's inputs and output, and what its
+    rule closes over: here the inputs of mul, div and matmul, the output of
+    relu, sigmoid and softmax, and log_softmax's exp of its output; the
+    layers module lists what its ops keep. Rules that recompute from these
+    rest on two invariants:
+    - no array recorded on the tape is written in place before backward;
+    - no gradient rule writes into its ``g``: ``add`` hands one array to
+      both its inputs, so such a write would change another gradient.
     """
     tape = _tape()
     try:
@@ -311,10 +320,10 @@ def _scalar_affine(x: Tensor, scale: float, shift: float) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0)
-    mask = x.data > 0
 
     def grad_fn(g):
-        return (g * mask,)
+        # max(v, 0) > 0 exactly when v > 0, NaN and -0.0 included
+        return (g * (out > 0),)
 
     return record("relu", (x,), out, grad_fn)
 

@@ -7,9 +7,11 @@ integer-valued float64 inputs, where every intermediate sum is exact in
 binary64 so reassociation cannot change the result.
 """
 
+import types
+
 import numpy as np
 
-from segforge.tensor import backward, no_grad
+from segforge.tensor import Tensor, backward, no_grad
 
 FD_H = 1e-5
 REL_TOL = 1e-4
@@ -206,6 +208,59 @@ def reference_adam_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=
         mhat = m[name] / bc1
         vhat = v[name] / bc2
         p -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+# ---------------------------------------------------------------------------
+# tape memory
+
+
+def root_array(a):
+    """The ndarray that owns a view's memory (the array itself if it owns it)."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def closure_arrays(fn):
+    """Every ndarray a function's closure cells reach, through nested
+    functions, tensors, tuples and lists."""
+    seen, stack, found = set(), [fn], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, Tensor):
+            stack.append(obj.data)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, types.FunctionType) and obj.__closure__:
+            for cell in obj.__closure__:
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:   # a variable the function has not bound yet
+                    pass
+    return found
+
+
+def tape_bytes(nodes, params=()):
+    """Bytes of the distinct arrays a list of tape nodes keeps alive.
+
+    Counts each node's inputs, output and every array its gradient rule's
+    closure reaches, once per owning base array, leaving out the arrays of
+    `params`.
+    """
+    skip = {id(root_array(p.data)) for p in params}
+    roots = {}
+    for node in nodes:
+        arrays = [t.data for t in node.inputs] + [node.output.data]
+        for a in arrays + closure_arrays(node.grad_fn):
+            r = root_array(a)
+            if id(r) not in skip:
+                roots[id(r)] = r
+    return sum(r.nbytes for r in roots.values())
 
 
 # ---------------------------------------------------------------------------

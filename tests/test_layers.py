@@ -6,10 +6,10 @@ import pytest
 from segforge.errors import ContractError, ShapeError
 from segforge import layers
 from segforge.layers import (TAP_MIN_PLANE, BatchNorm2d, Conv2d, Dense, Module,
-                             _cols_to_image, _image_to_cols, batch_norm, concat_channels,
-                             conv2d, conv_out_size, dense, global_avg_pool, maxpool2d,
-                             upsample_nearest)
-from segforge.tensor import Tensor, backward, mul
+                             _centred_var, _cols_to_image, _image_to_cols, batch_norm,
+                             concat_channels, conv2d, conv_out_size, dense, global_avg_pool,
+                             maxpool2d, upsample_nearest)
+from segforge.tensor import Tensor, backward, mul, relu
 
 from oracles import (grad_check, naive_conv2d, naive_conv2d_input_grad, naive_maxpool2d,
                      nchw_cols_to_image, reference_conv2d, window_im2col)
@@ -248,6 +248,13 @@ class TestMaxPool:
             maxpool2d(x, 0)
 
 
+# batch-norm input shapes of a desk-preset forward at N=4, 64x64
+DESK_BN_SHAPES = [(4, 8, 64, 64), (4, 16, 16, 16), (4, 16, 32, 32), (4, 32, 8, 8),
+                  (4, 32, 16, 16), (4, 64, 4, 4), (4, 64, 8, 8), (4, 64, 16, 16),
+                  (4, 128, 2, 2), (4, 128, 4, 4), (4, 128, 8, 8), (4, 256, 4, 4),
+                  (4, 512, 2, 2)]
+
+
 class TestBatchNorm:
     def test_train_mode_normalizes_batch(self):
         x = randt(0, 4, 3, 5, 5, scale=2.0)
@@ -274,9 +281,89 @@ class TestBatchNorm:
         x = randt(2, 2, 3, 4, 4)
         gamma = Tensor(np.ones(3, dtype=np.float64))
         beta = Tensor(np.zeros(3, dtype=np.float64))
-        rm, rv = np.zeros(3), np.ones(3)
-        batch_norm(x, gamma, beta, rm, rv, training=True, update_running=False)
-        assert np.array_equal(rm, np.zeros(3)) and np.array_equal(rv, np.ones(3))
+        for fused in (False, True):
+            rm, rv = np.zeros(3), np.ones(3)
+            batch_norm(x, gamma, beta, rm, rv, training=True, update_running=False, relu=fused)
+            assert np.array_equal(rm, np.zeros(3)) and np.array_equal(rv, np.ones(3))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", DESK_BN_SHAPES)
+    def test_variance_has_numpy_var_bytes(self, shape, dtype):
+        x = np.random.default_rng(shape[1]).normal(0.3, 2.0, shape).astype(dtype)
+        want = x.var(axis=(0, 2, 3))
+        xc = x - x.mean(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
+        assert _centred_var(xc).tobytes() == want.tobytes()
+        rm, rv = np.zeros(shape[1], dtype), np.ones(shape[1], dtype)
+        ones = Tensor(np.ones(shape[1], dtype))
+        batch_norm(Tensor(x), ones, ones, rm, rv, training=True, momentum=0.1)
+        m = x.size // shape[1]
+        expect = np.ones(shape[1], dtype)
+        expect *= 1.0 - 0.1
+        expect += 0.1 * want * (m / (m - 1.0))
+        assert rv.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", DESK_BN_SHAPES)
+    def test_fused_relu_equals_relu_of_batch_norm(self, shape, dtype, training):
+        c = shape[1]
+        rng = np.random.default_rng(c * shape[2])
+        x = rng.normal(0.5, 2.0, shape).astype(dtype)
+        gamma = rng.uniform(0.5, 1.5, c).astype(dtype)
+        beta = rng.normal(0, 0.3, c).astype(dtype)
+        stats = (rng.normal(0, 0.3, c).astype(dtype), rng.uniform(0.5, 2.0, c).astype(dtype))
+        upstream = Tensor(rng.normal(0, 1, shape).astype(dtype))
+
+        def run(fused):
+            xt = Tensor(x, requires_grad=True)
+            gt = Tensor(gamma, requires_grad=True)
+            bt = Tensor(beta, requires_grad=True)
+            rm, rv = stats[0].copy(), stats[1].copy()
+            y = batch_norm(xt, gt, bt, rm, rv, training=training, relu=fused)
+            if not fused:
+                y = relu(y)
+            out = y.data.copy()
+            backward(mul(y, upstream).sum())
+            return [out, rm, rv, xt.grad, gt.grad, bt.grad]
+
+        for got, want in zip(run(True), run(False)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_fused_relu_gradients(self, training):
+        x = randt(7, 2, 3, 4, 4, scale=2.0)
+        gamma = randt(8, 3)
+        beta = randt(9, 3)
+        rm = np.array([0.1, -0.2, 0.3])
+        rv = np.array([0.8, 1.2, 1.5])
+        weights = randt(10, 2, 3, 4, 4)
+
+        def loss():
+            return mul(batch_norm(x, gamma, beta, rm.copy(), rv.copy(), training=training,
+                                  update_running=False, relu=True), weights).sum()
+
+        # every pre-activation clears the kink by far more than the FD step
+        pre = batch_norm(x, gamma, beta, rm.copy(), rv.copy(), training=training,
+                         update_running=False)
+        assert np.abs(pre.data).min() > 1e-3 and (pre.data > 0).any() and (pre.data < 0).any()
+        assert grad_check(loss, [x, gamma, beta]) < 1e-4
+
+    def test_eval_rule_is_not_disturbed_by_a_later_train_call(self):
+        def eval_grads(disturb):
+            bn = BatchNorm2d(3, dtype=np.float64)
+            bn.running_mean[:] = [0.1, -0.2, 0.3]
+            bn.running_var[:] = [0.8, 1.2, 1.5]
+            x = randt(11, 2, 3, 4, 4, scale=2.0)
+            weights = randt(12, 2, 3, 4, 4)
+            loss = mul(bn(x, training=False, relu=True), weights).sum()
+            if disturb:
+                bn(randt(13, 2, 3, 4, 4, scale=3.0), training=True, update_running=True)
+                assert not np.array_equal(bn.running_mean, [0.1, -0.2, 0.3])
+            backward(loss)
+            return [x.grad, bn.gamma.grad, bn.beta.grad]
+
+        for got, want in zip(eval_grads(True), eval_grads(False)):
+            assert got.tobytes() == want.tobytes()
 
     def test_eval_mode_is_affine_in_running_stats(self):
         x = randt(3, 2, 3, 4, 4)

@@ -6,9 +6,10 @@ import pytest
 from segforge.errors import ConfigError, ShapeError
 from segforge.model import (PRESETS, Bottleneck, ModelConfig, SEBlock,
                             SegmentationModel, build_model, init_parameters)
-from segforge.tensor import Tensor, backward, no_grad
+from segforge.tensor import Tensor, _tape, backward, no_grad
 
-from oracles import grad_check, he_init_module, screened_bottleneck_instances
+from oracles import (closure_arrays, grad_check, he_init_module, root_array,
+                     screened_bottleneck_instances, tape_bytes)
 
 
 def randx(seed, *dims, scale=1.0):
@@ -86,6 +87,26 @@ class TestForwardShapes:
             model(x, training=True)
         changed = [n for n, b in model.named_buffers() if not np.array_equal(b, before[n])]
         assert changed, "training forward should move batch-norm running stats"
+
+
+class TestTapeMemory:
+    def test_training_forward_keeps_each_activation_once(self):
+        model = build_model(PRESETS["desk"])
+        x = Tensor(np.random.default_rng(2).normal(0, 1, (4, 3, 64, 64)).astype(np.float32))
+        try:
+            model(x, training=True)
+            nodes = list(_tape())
+        finally:
+            _tape().clear()
+        # 30.4 MB when batch norm kept xhat, relu its mask and conv2d its lowering
+        assert tape_bytes(nodes, model.parameters()) <= 13e6
+        for node in nodes:
+            if node.op not in ("conv2d", "batch_norm"):
+                continue
+            own = {id(root_array(t.data)) for t in node.inputs + (node.output,)}
+            extra = [a.shape for a in closure_arrays(node.grad_fn)
+                     if id(root_array(a)) not in own and a.size > node.output.shape[1]]
+            assert not extra, f"{node.op} rule keeps {extra}"
 
 
 class TestSEBlock:
