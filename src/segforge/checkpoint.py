@@ -4,7 +4,8 @@ Layout (all little-endian): magic ``SEGCKPT1``, u32 version, two
 length-prefixed UTF-8 JSON documents (run config, then meta holding epoch /
 best record / optimizer step), u32 tensor count, then named tensor entries:
 u32 name length, name bytes, u8 dtype code, u8 rank, u32 dims, raw data.
-Names are prefixed ``param:``, ``buffer:``, ``adam.m:`` or ``adam.v:``.
+A model's arrays are named by `model_arrays` alone, as ``param:<path>`` and
+``buffer:<path>``; the optimizer adds ``adam.m:`` and ``adam.v:`` entries.
 Saves are atomic (temp file + rename), so an interrupted run keeps its last
 intact checkpoint.
 """
@@ -20,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError, FormatError
+from .errors import ConfigError, DataError, FormatError
 from .layers import Module
 from .model import ModelConfig, SegmentationModel
 
@@ -28,7 +29,7 @@ MAGIC = b"SEGCKPT1"
 VERSION = 1
 
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("u1"), 3: np.dtype("<i8")}
-_CODE_FOR_NAME = {"float32": 0, "float64": 1, "uint8": 2, "int64": 3}
+_CODE_FOR_NAME = {dtype.name: code for code, dtype in _DTYPE_CODES.items()}
 
 
 @dataclass
@@ -39,29 +40,15 @@ class CheckpointData:
     best: Optional[dict]
     optimizer_step: int
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {k[len("param:"):]: v for k, v in self.arrays.items()
-                if k.startswith("param:")}
 
-    def buffers(self) -> dict[str, np.ndarray]:
-        return {k[len("buffer:"):]: v for k, v in self.arrays.items()
-                if k.startswith("buffer:")}
+def model_arrays(model: Module) -> dict[str, np.ndarray]:
+    """Every array a checkpoint holds for `model`, by its stored name, in walk order.
 
-
-def _collect_arrays(model: Module, optimizer=None) -> dict[str, np.ndarray]:
-    arrays: dict[str, np.ndarray] = {}
-    for name, p in model.named_parameters():
-        key = f"param:{name}"
-        if key in arrays:
-            raise ContractError(f"duplicate parameter name '{name}'")
-        arrays[key] = p.data
-    for name, b in model.named_buffers():
-        key = f"buffer:{name}"
-        if key in arrays:
-            raise ContractError(f"duplicate buffer name '{name}'")
-        arrays[key] = b
-    if optimizer is not None:
-        arrays.update(optimizer.state_arrays())
+    Parameters are ``param:<path>`` and buffers ``buffer:<path>``; the
+    values are the model's own arrays, so writing into them updates it.
+    """
+    arrays = {f"param:{name}": p.data for name, p in model.named_parameters()}
+    arrays.update((f"buffer:{name}", b) for name, b in model.named_buffers())
     return arrays
 
 
@@ -80,7 +67,9 @@ def _pack_entry(name: str, arr: np.ndarray) -> bytes:
 
 def save_checkpoint(path: str | os.PathLike, config: dict, model: Module,
                     optimizer=None, epoch: int = 0, best: Optional[dict] = None) -> None:
-    arrays = _collect_arrays(model, optimizer)
+    arrays = model_arrays(model)
+    if optimizer is not None:
+        arrays.update(optimizer.state_arrays())
     meta = {
         "epoch": int(epoch),
         "best": best,
@@ -183,31 +172,23 @@ def load_checkpoint(path: str | os.PathLike) -> CheckpointData:
 
 
 def apply_arrays(model: Module, ckpt: CheckpointData) -> None:
-    """Copy checkpoint params/buffers into a model; shapes must line up."""
-    params = ckpt.params()
-    for name, p in model.named_parameters():
-        arr = params.pop(name, None)
-        if arr is None:
-            raise ConfigError(f"checkpoint has no parameter '{name}'; "
-                              f"model config {model.config.to_dict() if hasattr(model, 'config') else '?'} "
-                              f"vs checkpoint config {ckpt.config.get('model')}")
-        if arr.shape != p.data.shape:
-            raise ConfigError(f"parameter '{name}' shape {arr.shape} in checkpoint "
-                              f"does not match model {p.data.shape}")
-        p.data[...] = arr.astype(p.data.dtype, copy=False)
-    if params:
-        raise ConfigError(f"checkpoint has extra parameters {sorted(params)}")
-    buffers = ckpt.buffers()
-    for name, b in model.named_buffers():
-        arr = buffers.pop(name, None)
-        if arr is None:
-            raise ConfigError(f"checkpoint has no buffer '{name}'")
-        if arr.shape != b.shape:
-            raise ConfigError(f"buffer '{name}' shape {arr.shape} in checkpoint "
-                              f"does not match model {b.shape}")
-        b[...] = arr.astype(b.dtype, copy=False)
-    if buffers:
-        raise ConfigError(f"checkpoint has extra buffers {sorted(buffers)}")
+    """Copy checkpoint params/buffers into a model.
+
+    Names and shapes are all checked before the first copy, so a mismatch
+    raises ConfigError and leaves the model untouched.
+    """
+    targets = model_arrays(model)
+    stored = {k: v for k, v in ckpt.arrays.items() if k.startswith(("param:", "buffer:"))}
+    missing, extra = sorted(targets.keys() - stored), sorted(stored.keys() - targets)
+    if missing or extra:
+        raise ConfigError(f"checkpoint arrays do not match the model: missing {missing}, "
+                          f"extra {extra}; checkpoint config {ckpt.config.get('model')}")
+    for key, arr in targets.items():
+        if stored[key].shape != arr.shape:
+            raise ConfigError(f"'{key}' shape {stored[key].shape} in checkpoint "
+                              f"does not match model {arr.shape}")
+    for key, arr in targets.items():
+        arr[...] = stored[key].astype(arr.dtype, copy=False)
 
 
 def restore_model(ckpt: CheckpointData) -> SegmentationModel:

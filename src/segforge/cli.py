@@ -12,10 +12,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .data import SynthSpec, synth_dataset, write_case
+from .data import SynthSpec, read_volume, synth_dataset, write_case, write_volume
 from .errors import ConfigError, DataError, SegforgeError
-from .nifti import read_nifti, write_nifti
-from .svol import read_svol, write_svol
 from .train import (RunConfig, apply_overrides, evaluate, format_report,
                     predict, run_preset, train)
 
@@ -61,23 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--in", dest="in_path", required=True)
     c.add_argument("--out", required=True)
     return p
-
-
-def _read_any(path: str):
-    if path.endswith(".svol"):
-        return read_svol(path)
-    if path.endswith(".nii") or path.endswith(".nii.gz"):
-        return read_nifti(path)
-    raise ConfigError(f"unknown volume extension on {path} (use .nii, .nii.gz or .svol)")
-
-
-def _write_any(path: str, arr) -> None:
-    if path.endswith(".svol"):
-        write_svol(path, arr)
-    elif path.endswith(".nii") or path.endswith(".nii.gz"):
-        write_nifti(path, arr)
-    else:
-        raise ConfigError(f"unknown volume extension on {path} (use .nii, .nii.gz or .svol)")
 
 
 def cmd_train(args) -> int:
@@ -137,8 +118,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    arr = _read_any(args.in_path)
-    _write_any(args.out, arr)
+    arr = read_volume(args.in_path)
+    write_volume(args.out, arr)
     print(f"wrote {args.out} (shape {'x'.join(map(str, arr.shape))}, dtype {arr.dtype})")
     return 0
 

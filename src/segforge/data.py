@@ -1,10 +1,15 @@
 """Data pipeline: case IO, normalization, slicing, synthetic volumes, splits.
 
+This module owns the on-disk volume formats: `read_volume` and
+`write_volume` pick the codec by suffix, and `_case_file` names each file
+of a case, for writing and for lookup alike.
+
 Cases follow the BraTS layout `<root>/<case_id>/<case_id>_<modality>.nii`
-(uncompressed NIfTI-1) with a raw-volume fallback `<root>/<case_id>/
-<modality>.svol`. Three modalities (T1ce, T2, FLAIR) become the network's
-input channels; segmentation labels are remapped from the raw {0,1,2,4}
-convention to contiguous {0,1,2,3}. Training happens on axial 2D slices.
+(NIfTI-1, or gzipped as `.nii.gz`) with a raw-volume fallback
+`<root>/<case_id>/<modality>.svol`. Three modalities (T1ce, T2, FLAIR)
+become the network's input channels; segmentation labels are remapped from
+the raw {0,1,2,4} convention to contiguous {0,1,2,3}. Training happens on
+axial 2D slices.
 
 Everything is deterministic: synthetic cases are pure functions of their
 seed, and splits are pure functions of (ids, fraction, seed). Cases are
@@ -145,19 +150,41 @@ def make_batch(records: list[SliceRecord]) -> SliceBatch:
 # case IO
 
 
+def _is_svol(path) -> bool:
+    """The codec of a volume file by its suffix: .svol, or NIfTI for .nii and .nii.gz."""
+    name = str(path)
+    if name.endswith(".svol"):
+        return True
+    if name.endswith((".nii", ".nii.gz")):
+        return False
+    raise ConfigError(f"unknown volume extension on {path} (use .nii, .nii.gz or .svol)")
+
+
+def read_volume(path: str | Path) -> np.ndarray:
+    """Load a .nii, .nii.gz or .svol volume; any other suffix is a ConfigError."""
+    return read_svol(path) if _is_svol(path) else read_nifti(path)
+
+
+def write_volume(path: str | Path, volume: np.ndarray,
+                 spacing: Optional[tuple[float, float, float]] = None) -> None:
+    """Store a volume in the format its suffix names; .svol drops the spacing."""
+    if _is_svol(path):
+        write_svol(path, volume)
+    else:
+        write_nifti(path, volume, spacing)
+
+
+def _case_file(case_dir: Path, case_id: str, name: str, fmt: str) -> Path:
+    """Where volume `name` of a case lives in layout `fmt` (nii, nii.gz or svol)."""
+    return case_dir / (f"{name}.svol" if fmt == "svol" else f"{case_id}_{name}.{fmt}")
+
+
 def _find_modality_file(case_dir: Path, case_id: str, name: str) -> Optional[Path]:
-    for candidate in (case_dir / f"{case_id}_{name}.nii",
-                      case_dir / f"{case_id}_{name}.nii.gz",
-                      case_dir / f"{name}.svol"):
+    for fmt in ("nii", "nii.gz", "svol"):
+        candidate = _case_file(case_dir, case_id, name, fmt)
         if candidate.is_file():
             return candidate
     return None
-
-
-def _read_volume(path: Path) -> np.ndarray:
-    if path.suffix == ".svol":
-        return read_svol(path)
-    return read_nifti(path)
 
 
 def load_case(root: str | Path, case_id: str, require_seg: bool = True) -> VolumeSample:
@@ -176,9 +203,9 @@ def load_case(root: str | Path, case_id: str, require_seg: bool = True) -> Volum
         path = _find_modality_file(case_dir, case_id, name)
         if path is None:
             raise DataError(f"missing modality file for '{name}' in {case_dir}")
-        vol = _read_volume(path)
+        vol = read_volume(path)
         modalities[name] = np.asarray(vol, dtype=np.float32) if vol.dtype.kind != "f" else vol
-        if spacing is None and path.suffix != ".svol":
+        if spacing is None and not _is_svol(path):
             spacing = read_spacing(path)
 
     seg_path = _find_modality_file(case_dir, case_id, "seg")
@@ -187,7 +214,7 @@ def load_case(root: str | Path, case_id: str, require_seg: bool = True) -> Volum
             raise DataError(f"missing segmentation file in {case_dir}")
         label = np.zeros(modalities[MODALITIES[0]].shape, dtype=np.uint8)
     else:
-        raw = _read_volume(seg_path)
+        raw = read_volume(seg_path)
         if raw.dtype.kind == "f":
             rounded = np.rint(raw)
             if not np.array_equal(rounded, raw):
@@ -220,17 +247,11 @@ def write_case(sample: VolumeSample, root: str | Path, fmt: str = "nii") -> Path
         raise ConfigError(f"unknown case format '{fmt}' (use nii or svol)")
     case_dir = Path(root) / sample.case_id
     case_dir.mkdir(parents=True, exist_ok=True)
-    for name in MODALITIES:
-        vol = sample.modalities[name].astype(np.float32, copy=False)
-        if fmt == "nii":
-            write_nifti(case_dir / f"{sample.case_id}_{name}.nii", vol, sample.spacing)
-        else:
-            write_svol(case_dir / f"{name}.svol", vol)
-    label = sample.label.astype(np.uint8, copy=False)
-    if fmt == "nii":
-        write_nifti(case_dir / f"{sample.case_id}_seg.nii", label, sample.spacing)
-    else:
-        write_svol(case_dir / "seg.svol", label)
+    volumes = {name: sample.modalities[name].astype(np.float32, copy=False)
+               for name in MODALITIES}
+    volumes["seg"] = sample.label.astype(np.uint8, copy=False)
+    for name, vol in volumes.items():
+        write_volume(_case_file(case_dir, sample.case_id, name, fmt), vol, sample.spacing)
     return case_dir
 
 

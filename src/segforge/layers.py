@@ -27,12 +27,12 @@ and 4x4 planes. Its rows are output pixels and its columns run in
 (c, kh, kw) order, so the weight matrix is the OIHW tensor reshaped in
 place. For 3x3 kernels the gather pads the input once into a channels-last
 buffer and fills the (n, oh, ow, c, kh, kw) matrix with nine strided slice
-copies, each running over channels; col2im adds the same nine slices back
-into a zeroed channels-last buffer, row-major over (kh, kw), and transposes
-to NCHW once. Other kernels copy a transposed sliding-window view and
-scatter in NCHW: the window copy is faster for the 3-channel 7x7 stem and no
-slower for 1x1. For any kernel the two gathers build the same matrix and
-sum gradients in the same order, so the choice never changes a bit.
+copies, each running over channels. Other kernels copy a transposed
+sliding-window view: on the 3-channel 7x7 stem (float32, 2 vCPU) the
+window copy took 0.75 ms at (4,3,64x64) and 1.3 ms at (2,3,128x128),
+against 2.6 and 10 ms for 49 slice copies. Both gathers build the same
+matrix. col2im, for every kernel, adds the kh*kw slices back into a zeroed
+channels-last buffer, row-major over (kh, kw), and transposes to NCHW once.
 
 Backward on either lowering skips the input-gradient GEMMs (and col2im) when
 the input needs no gradient. In a model only the stem's input, the image
@@ -228,23 +228,13 @@ def _cols_to_image(gcols, x_shape, ksize, osize, stride, padding):
     n, c, h, w = x_shape
     kh, kw = ksize
     oh, ow = osize
-    hp, wp = h + 2 * padding, w + 2 * padding
     gc = gcols.reshape(n, oh, ow, c, kh, kw)
-    if (kh, kw) == (3, 3):
-        gxp = np.zeros((n, hp, wp, c), dtype=gcols.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += gc[..., i, j]
-        return np.ascontiguousarray(
-            gxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2))
-    gc = gc.transpose(0, 3, 1, 2, 4, 5)
-    gxp = np.zeros((n, c, hp, wp), dtype=gcols.dtype)
+    gxp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=gcols.dtype)
     for i in range(kh):
         for j in range(kw):
-            gxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += gc[:, :, :, :, i, j]
-    if padding:
-        return np.ascontiguousarray(gxp[:, :, padding:padding + h, padding:padding + w])
-    return gxp
+            gxp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += gc[..., i, j]
+    return np.ascontiguousarray(
+        gxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2))
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .tensor import Tensor, log_softmax, mul, record, softmax
+from .tensor import Tensor, log_softmax, mul, softmax
 
 DICE_EPS = 1e-6
 
@@ -148,30 +148,17 @@ def soft_dice_loss(logits: Tensor, target_onehot: np.ndarray, eps: float = DICE_
     if target_onehot.shape != logits.shape:
         raise ShapeError(f"one-hot target shape {target_onehot.shape} "
                          f"does not match logits {logits.shape}")
-    n, c, h, w = logits.shape
     p = softmax(logits, axis=1)
     t = target_onehot.astype(p.dtype, copy=False)
     tsum = t.sum(axis=(0, 2, 3))
 
-    inter = _sum_weighted_per_class(p, t)            # [C], differentiable
-    psum = _sum_weighted_per_class(p, np.ones(1, dtype=p.dtype))  # plain per-class sum
+    inter = mul(p, Tensor(t)).sum(axis=(0, 2, 3))    # [C], differentiable
+    psum = p.sum(axis=(0, 2, 3))
 
     num = inter * 2.0 + eps
     den = psum + Tensor(tsum.astype(p.dtype)) + eps
     dice = num / den
     return 1.0 - dice.mean()
-
-
-def _sum_weighted_per_class(p: Tensor, weight: np.ndarray) -> Tensor:
-    """Differentiable sum over batch and space of p * weight, per class."""
-    n, c, h, w = p.shape
-    wfull = np.broadcast_to(weight, p.shape) if weight.shape != p.shape else weight
-    out = (p.data * wfull).sum(axis=(0, 2, 3))
-
-    def grad_fn(g):
-        return (np.ascontiguousarray(np.broadcast_to(g.reshape(1, c, 1, 1), p.shape) * wfull),)
-
-    return record("per_class_sum", (p,), out, grad_fn)
 
 
 def cross_entropy_loss(logits: Tensor, target_onehot: np.ndarray) -> Tensor:

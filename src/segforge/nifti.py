@@ -47,20 +47,21 @@ def _read_bytes(path, limit: int = -1) -> bytes:
         raise FormatError(f"corrupt gzip stream in {path}: {exc}") from None
 
 
-def read_nifti(path: str | os.PathLike) -> np.ndarray:
-    """Load one 3D volume; scl scaling (when slope is nonzero) yields float32."""
-    blob = _read_bytes(path)
+def _byte_order(blob: bytes, path) -> str:
+    """The header's byte order, told by which one reads sizeof_hdr as 348."""
     if len(blob) < HEADER_SIZE:
         raise FormatError(f"file too small for a NIfTI-1 header "
                           f"({len(blob)} < {HEADER_SIZE} bytes): {path}")
+    for bo in "<>":
+        if struct.unpack_from(bo + "i", blob, 0)[0] == HEADER_SIZE:
+            return bo
+    raise FormatError(f"bad sizeof_hdr at byte 0, not a NIfTI-1 file: {path}")
 
-    (sizeof_hdr,) = struct.unpack_from("<i", blob, 0)
-    if sizeof_hdr == HEADER_SIZE:
-        bo = "<"
-    elif struct.unpack_from(">i", blob, 0)[0] == HEADER_SIZE:
-        bo = ">"
-    else:
-        raise FormatError(f"bad sizeof_hdr at byte 0, not a NIfTI-1 file: {path}")
+
+def read_nifti(path: str | os.PathLike) -> np.ndarray:
+    """Load one 3D volume; scl scaling (when slope is nonzero) yields float32."""
+    blob = _read_bytes(path)
+    bo = _byte_order(blob, path)
 
     dim = struct.unpack_from(bo + "8h", blob, 40)
     (datatype,) = struct.unpack_from(bo + "h", blob, 70)
@@ -119,10 +120,7 @@ def read_nifti(path: str | os.PathLike) -> np.ndarray:
 def read_spacing(path: str | os.PathLike) -> tuple[float, float, float]:
     """Voxel spacing in [D, H, W] order (pixdim 3, 2, 1) from the header alone."""
     blob = _read_bytes(path, HEADER_SIZE)
-    if len(blob) < HEADER_SIZE:
-        raise FormatError(f"file too small for a NIfTI-1 header: {path}")
-    bo = "<" if struct.unpack_from("<i", blob, 0)[0] == HEADER_SIZE else ">"
-    pixdim = struct.unpack_from(bo + "8f", blob, 76)
+    pixdim = struct.unpack_from(_byte_order(blob, path) + "8f", blob, 76)
     return float(pixdim[3]), float(pixdim[2]), float(pixdim[1])
 
 

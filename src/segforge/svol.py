@@ -16,27 +16,24 @@ from .errors import DataError, FormatError
 MAGIC = b"SVOL0001"
 
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("u1"), 2: np.dtype("<i2")}
-_CODE_FOR_KIND = {"f": 0, "u": 1, "i": 2}
+_CODE_FOR_KIND = {dtype.kind: code for code, dtype in _DTYPE_CODES.items()}
 MAX_RANK = 8
 
 
 def write_svol(path: str | os.PathLike, array: np.ndarray) -> None:
+    """Store any float, unsigned or signed integer array as float32, uint8 or int16."""
     arr = np.ascontiguousarray(array)
-    if arr.dtype.kind == "f":
-        arr = arr.astype("<f4", copy=False)
-    elif arr.dtype.kind == "u":
-        arr = arr.astype("u1", copy=False)
-    elif arr.dtype.kind == "i":
-        arr = arr.astype("<i2", copy=False)
-    else:
-        raise FormatError(f"svol cannot store dtype {array.dtype}")
+    code = _CODE_FOR_KIND.get(arr.dtype.kind)
+    if code is None:
+        raise FormatError(f"svol cannot store dtype {arr.dtype}")
+    arr = arr.astype(_DTYPE_CODES[code], copy=False)
     if arr.ndim < 1 or arr.ndim > MAX_RANK:
         raise FormatError(f"svol rank must be 1..{MAX_RANK}, got {arr.ndim}")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(struct.pack("<B", _CODE_FOR_KIND[arr.dtype.kind]))
+        fh.write(struct.pack("<B", code))
         fh.write(arr.tobytes())
 
 

@@ -3,10 +3,10 @@
 Activations use NCHW layout and float32 storage; float64 is supported so
 gradients can be checked against central finite differences without noise.
 Each differentiable operation appends one node to a thread-local tape during
-the forward pass. ``backward`` replays the tape in strict reverse order,
+the forward pass. ``backward`` pops the tape in strict reverse order,
 accumulating gradients (by addition) into every tensor that requires them
-and releasing each intermediate gradient once its node has consumed it,
-then clears the tape, so every training step records a fresh graph.
+and releasing each node, and each intermediate gradient, once it has been
+consumed, so every training step records a fresh graph.
 
 Broadcasting is deliberately narrow: equal shapes, a channel-parameter
 operand (``[1,C,1,1]`` or ``[N,C,1,1]`` against ``[N,C,H,W]``), and a bias
@@ -193,10 +193,10 @@ def backward(loss: Tensor) -> None:
     Gradients from multiple consumers accumulate by addition. Each node's
     output gradient is released as soon as that node's rule has run, so
     intermediate tensors (the loss included) end with ``grad`` None and only
-    leaves, such as parameters, keep theirs. The tape is cleared afterwards
-    even if a gradient rule raises.
+    leaves, such as parameters, keep theirs. Each node is popped off the
+    tape as its rule runs, and the tape is cleared even if a rule raises.
 
-    Until then the tape keeps each node's inputs and output, and what its
+    Until it is popped, a node keeps its inputs and output, and what its
     rule closes over: here the inputs of mul, div and matmul, the output of
     relu, sigmoid and softmax, and log_softmax's exp of its output; the
     layers module lists what its ops keep. Rules that recompute from these
@@ -212,7 +212,8 @@ def backward(loss: Tensor) -> None:
         if not tape:
             raise ContractError("backward called on an empty tape")
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(tape):
+        while tape:
+            node = tape.pop()
             gout = node.output.grad
             if gout is None:
                 continue

@@ -22,13 +22,12 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, restore_model, save_checkpoint
 from .data import (DEFAULT_CROP, MIN_FOREGROUND_DEFAULT, NUM_CLASSES, TRAIN_FRACTION,
-                   SliceRecord, crop_offsets, extract_slices, load_case,
-                   load_data_root, make_batch, split_dataset)
+                   SliceRecord, _find_modality_file, crop_offsets, extract_slices,
+                   load_case, load_data_root, make_batch, split_dataset, write_volume)
 from .errors import ConfigError, DataError
 from .metrics import (_confusion_matrix, _confusion_scores, cross_entropy_loss,
                       logits_to_labels, soft_dice_loss)
 from .model import ConfigDocument, ModelConfig, PRESETS, SegmentationModel, build_model
-from .nifti import write_nifti
 from .optim import Adam
 from .svol import write_svol
 from .tensor import Tensor, backward, no_grad
@@ -457,10 +456,8 @@ def predict(ckpt_path: str, in_path: str, out_path: str, batch_size: int = 8) ->
     write_svol(out_path, mask)
     written = {"svol": str(out_path)}
 
-    was_nifti = ((case_dir / f"{case_dir.name}_t1ce.nii").is_file()
-                 or (case_dir / f"{case_dir.name}_t1ce.nii.gz").is_file())
-    if was_nifti:
+    if _find_modality_file(case_dir, case_dir.name, "t1ce").suffix != ".svol":
         nii_path = Path(out_path).with_suffix(".nii")
-        write_nifti(nii_path, mask, sample.spacing)
+        write_volume(nii_path, mask, sample.spacing)
         written["nii"] = str(nii_path)
     return written

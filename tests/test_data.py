@@ -10,9 +10,9 @@ import pytest
 from segforge.data import (DEFAULT_CROP, MODALITIES, SynthSpec, VolumeSample,
                            crop_offsets, extract_slices, list_cases, load_case,
                            load_data_root, make_batch, normalize_modality,
-                           parse_synth_uri, remap_labels, split_dataset,
-                           synth_case, synth_dataset, synth_lesion_geometry,
-                           write_case)
+                           parse_synth_uri, read_volume, remap_labels,
+                           split_dataset, synth_case, synth_dataset,
+                           synth_lesion_geometry, write_case, write_volume)
 from segforge.errors import (ConfigError, ContractError, DataError,
                              FormatError)
 from segforge.nifti import read_nifti, read_spacing, write_nifti
@@ -448,6 +448,20 @@ class TestHostileVolumeFiles:
         # read_nifti rejects every truncation, since each one cuts the payload
         assert outcomes["FormatError"] >= len(blob)
 
+    def test_sizeof_hdr_flips_fail_both_readers(self, tmp_path):
+        path = tmp_path / "v.nii"
+        write_nifti(path, np.arange(24, dtype=np.int16).reshape(2, 3, 4))
+        blob = path.read_bytes()
+        for i in range(4):
+            for flip in (0x01, 0x80, 0xFF):
+                path.write_bytes(blob[:i] + bytes([blob[i] ^ flip]) + blob[i + 1:])
+                for read in (read_nifti, read_spacing):
+                    with pytest.raises(FormatError, match="sizeof_hdr at byte 0"):
+                        read(path)
+        path.write_bytes(bytes(400))
+        with pytest.raises(FormatError, match="byte 0"):
+            read_spacing(path)
+
     def test_gzip_faults_name_the_file(self, tmp_path):
         path = tmp_path / "v.nii.gz"
         write_nifti(path, np.zeros((2, 3, 4), dtype=np.int16))
@@ -469,6 +483,20 @@ class TestHostileVolumeFiles:
 
 
 class TestCaseIO:
+    def test_volume_codec_follows_the_suffix(self, tmp_path):
+        vol = np.arange(24, dtype=np.int16).reshape(2, 3, 4)
+        for name in ("v.nii", "v.nii.gz", "v.svol"):
+            write_volume(tmp_path / name, vol, (2.0, 1.0, 0.5))
+            np.testing.assert_array_equal(read_volume(tmp_path / name), vol)
+        assert read_spacing(tmp_path / "v.nii.gz") == (2.0, 1.0, 0.5)
+        assert (tmp_path / "v.svol").read_bytes()[:4] == b"SVOL"
+        with pytest.raises(ConfigError, match="v.raw"):
+            write_volume(tmp_path / "v.raw", vol)
+        assert not (tmp_path / "v.raw").exists()
+        (tmp_path / "v.raw").write_bytes((tmp_path / "v.nii").read_bytes())
+        with pytest.raises(ConfigError, match="v.raw"):
+            read_volume(tmp_path / "v.raw")
+
     @pytest.mark.parametrize("fmt", ["nii", "svol"])
     def test_write_then_load_is_bit_exact(self, tmp_path, fmt):
         sample = synth_case(13, dims=(8, 64, 64), case_id="case_rt")

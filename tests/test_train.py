@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from segforge.checkpoint import (CheckpointData, load_checkpoint,
-                                 restore_model, save_checkpoint)
+from segforge.checkpoint import (CheckpointData, apply_arrays, load_checkpoint,
+                                 model_arrays, restore_model, save_checkpoint)
 from segforge.data import (MODALITIES, extract_slices, load_data_root,
                            synth_case, write_case)
 from segforge.errors import (ConfigError, ContractError, DataError,
@@ -475,12 +475,10 @@ class TestCheckpoint:
         assert ckpt.epoch == 3
         assert ckpt.best == {"epoch": 2, "dice": 0.5}
         assert ckpt.optimizer_step == 1
-        params = ckpt.params()
         for name, p in model.named_parameters():
-            np.testing.assert_array_equal(params[name], p.data)
-        buffers = ckpt.buffers()
+            np.testing.assert_array_equal(ckpt.arrays[f"param:{name}"], p.data)
         for name, b in model.named_buffers():
-            np.testing.assert_array_equal(buffers[name], b)
+            np.testing.assert_array_equal(ckpt.arrays[f"buffer:{name}"], b)
         state = opt.state_arrays()
         for key, arr in state.items():
             np.testing.assert_array_equal(ckpt.arrays[key], arr)
@@ -561,10 +559,30 @@ class TestCheckpoint:
         save_checkpoint(path, {"model": PRESETS["desk"].to_dict()}, model)
         ckpt = load_checkpoint(path)
         other = dataclasses.replace(PRESETS["desk"], stem_width=32, reduction=4)
-        from segforge.checkpoint import apply_arrays
         from segforge.model import SegmentationModel
         with pytest.raises(ConfigError):
             apply_arrays(SegmentationModel(other), ckpt)
+
+    @pytest.mark.parametrize("fault", ["missing", "extra", "buffer_shape"])
+    def test_apply_rejects_a_mismatch_before_copying(self, tmp_path, fault):
+        source, _ = self.make_model_and_opt()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, {"model": PRESETS["desk"].to_dict()}, source)
+        ckpt = load_checkpoint(path)
+        key = {"missing": "param:head.bias", "extra": "buffer:head.extra",
+               "buffer_shape": "buffer:decoder.4.bn2.running_var"}[fault]
+        if fault == "missing":
+            del ckpt.arrays[key]
+        else:   # the last buffer walked, so every parameter comes before it
+            ckpt.arrays[key] = np.zeros(3, dtype=np.float32)
+        target = build_model(PRESETS["desk"])
+        before = {k: v.copy() for k, v in model_arrays(target).items()}
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            apply_arrays(target, ckpt)
+        after = model_arrays(target)
+        assert after.keys() == before.keys()
+        for k, arr in before.items():
+            np.testing.assert_array_equal(after[k], arr)
 
     def test_restore_needs_model_section(self):
         ckpt = CheckpointData(config={}, arrays={}, epoch=0, best=None, optimizer_step=0)
