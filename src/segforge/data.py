@@ -12,15 +12,19 @@ the raw {0,1,2,4} convention to contiguous {0,1,2,3}. Training happens on
 axial 2D slices.
 
 Everything is deterministic: synthetic cases are pure functions of their
-seed, and splits are pure functions of (ids, fraction, seed). Cases are
-loaded eagerly, which is fine at the desk scales this package targets.
+seed, and splits are pure functions of (ids, fraction, seed). `load_case`
+decodes a case's files on one thread each. Training loads every case up
+front (`load_data_root`); evaluation loads one case at a time
+(`case_loaders`), so it holds a single case in memory.
 """
 
 from __future__ import annotations
 
+import functools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -84,18 +88,29 @@ def remap_labels(raw: np.ndarray) -> np.ndarray:
     return out
 
 
+def _nonzero_stats(vol: np.ndarray):
+    """Mean and std (floored at 1e-8) of the nonzero voxels; None when there are none."""
+    vals = vol[vol != 0]
+    if not vals.size:
+        return None
+    return vals.mean(dtype=np.float64), max(float(vals.std(dtype=np.float64)), 1e-8)
+
+
+def _zscore(vol: np.ndarray, stats) -> np.ndarray:
+    """`vol` z-scored by `stats` at its nonzero voxels; zeros stay zero."""
+    if stats is None:
+        return vol.copy()
+    mu, sigma = stats
+    mask = vol != 0
+    out = np.zeros(vol.shape, dtype=np.float32)
+    out[mask] = ((vol[mask] - mu) / sigma).astype(np.float32)
+    return out
+
+
 def normalize_modality(volume: np.ndarray) -> np.ndarray:
     """Z-score over nonzero (brain) voxels; background zeros stay zero."""
     vol = np.asarray(volume, dtype=np.float32)
-    mask = vol != 0
-    if not mask.any():
-        return vol.copy()
-    vals = vol[mask]
-    mu = vals.mean(dtype=np.float64)
-    sigma = max(float(vals.std(dtype=np.float64)), 1e-8)
-    out = np.zeros(vol.shape, dtype=np.float32)
-    out[mask] = ((vals - mu) / sigma).astype(np.float32)
-    return out
+    return _zscore(vol, _nonzero_stats(vol))
 
 
 def crop_offsets(shape_hw: tuple[int, int], crop: tuple[int, int]) -> tuple[int, int]:
@@ -113,15 +128,18 @@ def extract_slices(sample: VolumeSample, crop: tuple[int, int] = DEFAULT_CROP,
                    min_foreground_fraction: float = 0.0) -> list[SliceRecord]:
     """Normalize, center-crop and slice a case along the depth axis.
 
-    Slices whose foreground (label > 0) fraction falls below the threshold
-    are dropped; training passes a small positive threshold while evaluation
-    passes 0.0 to keep every slice.
+    Each modality is z-scored by the stats of its whole volume, but only
+    inside the crop window. Slices whose foreground (label > 0) fraction
+    falls below the threshold are dropped; training passes a small positive
+    threshold while evaluation passes 0.0 to keep every slice.
     """
     d, h, w = sample.dims
     ch, cw = crop
     oh, ow = crop_offsets((h, w), crop)
-    normed = [normalize_modality(sample.modalities[m])[:, oh:oh + ch, ow:ow + cw]
-              for m in MODALITIES]
+    normed = []
+    for m in MODALITIES:
+        vol = np.asarray(sample.modalities[m], dtype=np.float32)
+        normed.append(_zscore(vol[:, oh:oh + ch, ow:ow + cw], _nonzero_stats(vol)))
     labels = sample.label[:, oh:oh + ch, ow:ow + cw]
     records = []
     area = ch * cw
@@ -187,47 +205,53 @@ def _find_modality_file(case_dir: Path, case_id: str, name: str) -> Optional[Pat
     return None
 
 
+def _label_volume(raw: np.ndarray, path: Path) -> np.ndarray:
+    """The segmentation volume read from `path` as uint8 {0,1,2,3}; raw label 4 becomes 3."""
+    if raw.dtype.kind == "f":
+        rounded = np.rint(raw)
+        if not np.array_equal(rounded, raw):
+            raise DataError(f"non-integer label values in {path}")
+        raw = rounded.astype(np.int32)
+    values = np.unique(raw)
+    if 4 in values:
+        return remap_labels(raw)
+    bad = [int(v) for v in values if not 0 <= int(v) < NUM_CLASSES]
+    if bad:
+        raise DataError(f"label value(s) {bad} out of range in {path}")
+    return raw.astype(np.uint8, copy=False)
+
+
 def load_case(root: str | Path, case_id: str, require_seg: bool = True) -> VolumeSample:
     """Assemble one case from disk, cross-checking dims across files.
 
-    Labels containing the raw value 4 are remapped to {0,1,2,3}; volumes
-    already in the contiguous convention are validated and kept bit-exact.
+    The case's files are decoded concurrently, one thread each; errors are
+    raised in file order, as a sequential read would meet them. Labels
+    containing the raw value 4 are remapped to {0,1,2,3}; volumes already in
+    the contiguous convention are validated and kept bit-exact.
     """
     case_dir = Path(root) / case_id
     if not case_dir.is_dir():
         raise DataError(f"case directory not found: {case_dir}")
 
-    modalities: dict[str, np.ndarray] = {}
-    spacing = None
-    for name in MODALITIES:
-        path = _find_modality_file(case_dir, case_id, name)
-        if path is None:
-            raise DataError(f"missing modality file for '{name}' in {case_dir}")
-        vol = read_volume(path)
-        modalities[name] = np.asarray(vol, dtype=np.float32) if vol.dtype.kind != "f" else vol
-        if spacing is None and not _is_svol(path):
-            spacing = read_spacing(path)
-
-    seg_path = _find_modality_file(case_dir, case_id, "seg")
-    if seg_path is None:
-        if require_seg:
+    paths = {name: _find_modality_file(case_dir, case_id, name)
+             for name in (*MODALITIES, "seg")}
+    found = {name: path for name, path in paths.items() if path is not None}
+    with ThreadPoolExecutor(max_workers=max(len(found), 1)) as pool:
+        reads = {name: pool.submit(read_volume, path) for name, path in found.items()}
+        modalities: dict[str, np.ndarray] = {}
+        for name in MODALITIES:
+            if name not in reads:
+                raise DataError(f"missing modality file for '{name}' in {case_dir}")
+            vol = reads[name].result()
+            modalities[name] = np.asarray(vol, dtype=np.float32) if vol.dtype.kind != "f" else vol
+        if "seg" in reads:
+            label = _label_volume(reads["seg"].result(), paths["seg"])
+        elif require_seg:
             raise DataError(f"missing segmentation file in {case_dir}")
-        label = np.zeros(modalities[MODALITIES[0]].shape, dtype=np.uint8)
-    else:
-        raw = read_volume(seg_path)
-        if raw.dtype.kind == "f":
-            rounded = np.rint(raw)
-            if not np.array_equal(rounded, raw):
-                raise DataError(f"non-integer label values in {seg_path}")
-            raw = rounded.astype(np.int32)
-        values = np.unique(raw)
-        if 4 in values:
-            label = remap_labels(raw)
         else:
-            bad = [int(v) for v in values if not 0 <= int(v) < NUM_CLASSES]
-            if bad:
-                raise DataError(f"label value(s) {bad} out of range in {seg_path}")
-            label = raw.astype(np.uint8)
+            label = np.zeros(modalities[MODALITIES[0]].shape, dtype=np.uint8)
+    spacing = next((read_spacing(paths[name]) for name in MODALITIES
+                    if not _is_svol(paths[name])), None)
 
     dims = modalities[MODALITIES[0]].shape
     for name in MODALITIES:
@@ -417,18 +441,28 @@ def parse_synth_uri(uri: str) -> SynthSpec:
     return SynthSpec(**kwargs)
 
 
-def synth_dataset(spec: SynthSpec) -> list[VolumeSample]:
-    """Generate `spec.cases` deterministic cases named synth_000, synth_001, ..."""
+def _synth_loaders(spec: SynthSpec) -> dict[str, Callable[[], VolumeSample]]:
+    """A synth spec's case ids, each with the call that generates that case."""
     if spec.cases < 1:
         raise ConfigError(f"synth dataset needs at least 1 case, got {spec.cases}")
-    return [synth_case(seed=[spec.seed, i], dims=spec.dims, num_lesions=spec.lesions,
-                       case_id=f"synth_{i:03d}")
-            for i in range(spec.cases)]
+    return {f"synth_{i:03d}": functools.partial(
+                synth_case, seed=[spec.seed, i], dims=spec.dims, num_lesions=spec.lesions,
+                case_id=f"synth_{i:03d}")
+            for i in range(spec.cases)}
+
+
+def synth_dataset(spec: SynthSpec) -> list[VolumeSample]:
+    """Generate `spec.cases` deterministic cases named synth_000, synth_001, ..."""
+    return [make() for make in _synth_loaders(spec).values()]
+
+
+def case_loaders(data_root: str) -> dict[str, Callable[[], VolumeSample]]:
+    """A data root's (directory or `synth:` URI) case ids, each with the call that loads it."""
+    if data_root.startswith("synth:"):
+        return _synth_loaders(parse_synth_uri(data_root))
+    return {cid: functools.partial(load_case, data_root, cid) for cid in list_cases(data_root)}
 
 
 def load_data_root(data_root: str) -> dict[str, VolumeSample]:
     """Resolve a data root (directory or `synth:` URI) into loaded cases."""
-    if data_root.startswith("synth:"):
-        return {s.case_id: s for s in synth_dataset(parse_synth_uri(data_root))}
-    ids = list_cases(data_root)
-    return {cid: load_case(data_root, cid) for cid in ids}
+    return {cid: load() for cid, load in case_loaders(data_root).items()}

@@ -5,10 +5,16 @@ interpreted: dim, datatype, bitpix, vox_offset and the scl_slope/scl_inter
 scaling pair. Byte order is detected from sizeof_hdr. Volumes come back as
 ``[D, H, W]`` arrays (slowest axis first), matching the on-disk x-fastest
 ordering read in C order.
+
+`read_nifti` checks the whole header and bounds the payload by the file's
+size before it allocates the result, then reads the payload straight into
+that array, PIECE bytes at a time, and swaps bytes in place when the file
+is big-endian. No copy of the whole file is ever held.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import math
 import os
@@ -21,6 +27,8 @@ from .errors import DataError, FormatError
 
 HEADER_SIZE = 348
 MAGIC_SINGLE = b"n+1\x00"
+PIECE = 1 << 20           # bytes per read of a payload into its array
+DEFLATE_MAX_RATIO = 1032  # deflate inflates its input at most 1032-fold
 
 # NIfTI datatype code -> numpy dtype (endianness applied at read time)
 _DATATYPES = {
@@ -32,15 +40,22 @@ _DATATYPES = {
 _CODE_FOR_DTYPE = {dt: code for code, dt in _DATATYPES.items()}
 
 
-def _read_bytes(path, limit: int = -1) -> bytes:
-    """The file's bytes, gunzipped for `.gz`; at most `limit` of them when given.
+@contextlib.contextmanager
+def _open_volume(path):
+    """The file open for reading, gunzipped for `.gz`, and a bound on the bytes it yields.
 
-    A truncated or corrupt gzip stream is a FormatError naming the file.
+    The bound is the file size, or for gzip deflate's 1032:1 ceiling times the
+    compressed size. A missing file is a DataError; a truncated or corrupt
+    gzip stream, wherever a read meets it, is a FormatError naming the file.
     """
-    opener = gzip.open if str(path).endswith(".gz") else open
     try:
-        with opener(path, "rb") as fh:
-            return fh.read(limit)
+        with open(path, "rb") as raw:
+            size = os.fstat(raw.fileno()).st_size
+            if str(path).endswith(".gz"):
+                with gzip.GzipFile(fileobj=raw, mode="rb") as fh:
+                    yield fh, size * DEFLATE_MAX_RATIO
+            else:
+                yield raw, size
     except FileNotFoundError:
         raise DataError(f"volume file not found: {path}") from None
     except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
@@ -58,53 +73,79 @@ def _byte_order(blob: bytes, path) -> str:
     raise FormatError(f"bad sizeof_hdr at byte 0, not a NIfTI-1 file: {path}")
 
 
+def _read_into(fh, out: memoryview) -> int:
+    """Fill `out` from `fh` in PIECE-byte reads; the count read, short only at the end."""
+    done = 0
+    while done < len(out):
+        n = fh.readinto(out[done:done + PIECE])
+        if not n:
+            break
+        done += n
+    return done
+
+
 def read_nifti(path: str | os.PathLike) -> np.ndarray:
-    """Load one 3D volume; scl scaling (when slope is nonzero) yields float32."""
-    blob = _read_bytes(path)
-    bo = _byte_order(blob, path)
+    """Load one 3D volume; scl scaling (when slope is nonzero) yields float32.
 
-    dim = struct.unpack_from(bo + "8h", blob, 40)
-    (datatype,) = struct.unpack_from(bo + "h", blob, 70)
-    (bitpix,) = struct.unpack_from(bo + "h", blob, 72)
-    (vox_offset,) = struct.unpack_from(bo + "f", blob, 108)
-    (scl_slope,) = struct.unpack_from(bo + "f", blob, 112)
-    (scl_inter,) = struct.unpack_from(bo + "f", blob, 116)
-    magic = blob[344:348]
-    if magic != MAGIC_SINGLE:
-        raise FormatError(f"bad magic {magic!r} at byte 344 in {path} "
-                          f"(only single-file n+1 is handled)")
+    The header is checked before the result is allocated, and the payload is
+    read straight into it. The stream is read to its end, so gzip checks its
+    CRC and length.
+    """
+    with _open_volume(path) as (fh, limit):
+        blob = fh.read(HEADER_SIZE)
+        bo = _byte_order(blob, path)
 
-    rank = dim[0]
-    if not 1 <= rank <= 7:
-        raise FormatError(f"dim[0]={rank} at byte 40 out of range in {path}")
-    dims = list(dim[1:1 + rank])
-    if any(d < 1 for d in dims):
-        raise FormatError(f"non-positive dims {dims} at byte 40 in {path}")
-    while len(dims) > 3 and dims[-1] == 1:
-        dims.pop()
-    if len(dims) != 3:
-        raise FormatError(f"expected a 3D volume, got dims {dims} in {path}")
-    nx, ny, nz = dims
+        dim = struct.unpack_from(bo + "8h", blob, 40)
+        (datatype,) = struct.unpack_from(bo + "h", blob, 70)
+        (bitpix,) = struct.unpack_from(bo + "h", blob, 72)
+        (vox_offset,) = struct.unpack_from(bo + "f", blob, 108)
+        (scl_slope,) = struct.unpack_from(bo + "f", blob, 112)
+        (scl_inter,) = struct.unpack_from(bo + "f", blob, 116)
+        magic = blob[344:348]
+        if magic != MAGIC_SINGLE:
+            raise FormatError(f"bad magic {magic!r} at byte 344 in {path} "
+                              f"(only single-file n+1 is handled)")
 
-    base = _DATATYPES.get(datatype)
-    if base is None:
-        raise FormatError(f"unsupported datatype code {datatype} at byte 70 in {path}")
-    if bitpix != base.itemsize * 8:
-        raise FormatError(f"bitpix {bitpix} at byte 72 does not match "
-                          f"datatype {datatype} in {path}")
+        rank = dim[0]
+        if not 1 <= rank <= 7:
+            raise FormatError(f"dim[0]={rank} at byte 40 out of range in {path}")
+        dims = list(dim[1:1 + rank])
+        if any(d < 1 for d in dims):
+            raise FormatError(f"non-positive dims {dims} at byte 40 in {path}")
+        while len(dims) > 3 and dims[-1] == 1:
+            dims.pop()
+        if len(dims) != 3:
+            raise FormatError(f"expected a 3D volume, got dims {dims} in {path}")
+        nx, ny, nz = dims
 
-    offset = int(vox_offset)
-    if offset < HEADER_SIZE:
-        raise FormatError(f"vox_offset {vox_offset} at byte 108 overlaps the header in {path}")
-    count = nx * ny * nz
-    need = offset + count * base.itemsize
-    if len(blob) < need:
-        raise FormatError(f"truncated payload from byte {offset} in {path}: "
-                          f"need {need} bytes, have {len(blob)}")
+        base = _DATATYPES.get(datatype)
+        if base is None:
+            raise FormatError(f"unsupported datatype code {datatype} at byte 70 in {path}")
+        if bitpix != base.itemsize * 8:
+            raise FormatError(f"bitpix {bitpix} at byte 72 does not match "
+                              f"datatype {datatype} in {path}")
 
-    raw = np.frombuffer(blob, dtype=base.newbyteorder(bo), count=count, offset=offset)
-    # x varies fastest on disk, so a C-order reshape gives [z, y, x] = [D, H, W]
-    vol = raw.reshape(nz, ny, nx).astype(base, copy=True)
+        if not math.isfinite(vox_offset):
+            raise FormatError(f"non-finite vox_offset {vox_offset} at byte 108 in {path}")
+        offset = int(vox_offset)
+        if offset < HEADER_SIZE:
+            raise FormatError(f"vox_offset {vox_offset} at byte 108 overlaps the header in {path}")
+        need = offset + nx * ny * nz * base.itemsize
+        if need > limit:
+            raise FormatError(f"truncated payload from byte {offset} in {path}: "
+                              f"need {need} bytes, the file holds at most {limit}")
+
+        # x varies fastest on disk, so C order gives [z, y, x] = [D, H, W]
+        vol = np.empty((nz, ny, nx), dtype=base)
+        fh.seek(offset)
+        if _read_into(fh, memoryview(vol).cast("B")) < vol.nbytes:
+            raise FormatError(f"truncated payload from byte {offset} in {path}: "
+                              f"need {need} bytes, have {fh.tell()}")
+        while fh.read(PIECE):
+            pass
+
+    if base.newbyteorder(bo) != base:
+        vol.byteswap(inplace=True)
     if scl_slope != 0.0 and (scl_slope != 1.0 or scl_inter != 0.0):
         if not (math.isfinite(scl_slope) and math.isfinite(scl_inter)):
             raise FormatError(f"non-finite scl_slope/scl_inter at byte 112 in {path}")
@@ -119,7 +160,8 @@ def read_nifti(path: str | os.PathLike) -> np.ndarray:
 
 def read_spacing(path: str | os.PathLike) -> tuple[float, float, float]:
     """Voxel spacing in [D, H, W] order (pixdim 3, 2, 1) from the header alone."""
-    blob = _read_bytes(path, HEADER_SIZE)
+    with _open_volume(path) as (fh, _):
+        blob = fh.read(HEADER_SIZE)
     pixdim = struct.unpack_from(_byte_order(blob, path) + "8f", blob, 76)
     return float(pixdim[3]), float(pixdim[2]), float(pixdim[1])
 

@@ -22,8 +22,9 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, restore_model, save_checkpoint
 from .data import (DEFAULT_CROP, MIN_FOREGROUND_DEFAULT, NUM_CLASSES, TRAIN_FRACTION,
-                   SliceRecord, _find_modality_file, crop_offsets, extract_slices,
-                   load_case, load_data_root, make_batch, split_dataset, write_volume)
+                   SliceRecord, _find_modality_file, case_loaders, crop_offsets,
+                   extract_slices, load_case, load_data_root, make_batch, split_dataset,
+                   write_volume)
 from .errors import ConfigError, DataError
 from .metrics import (_confusion_matrix, _confusion_scores, cross_entropy_loss,
                       logits_to_labels, soft_dice_loss)
@@ -367,13 +368,14 @@ def evaluate(ckpt_path: str, data_root: str, split: str = "val",
 
     Metrics are computed over the center-cropped field of view the model
     sees, from pixel counts pooled case by case over the predicted and
-    reference masks — the same masks that --save-masks writes out.
+    reference masks — the same masks that --save-masks writes out. Cases
+    are loaded one at a time, just before each is evaluated.
     """
     cfg, model = _load_run(ckpt_path)
     crop = cfg.crop
 
-    samples = load_data_root(data_root)
-    ids = _select_ids(cfg, sorted(samples), split)
+    loaders = case_loaders(data_root)
+    ids = _select_ids(cfg, sorted(loaders), split)
     if not ids:
         raise DataError(f"no cases selected for split '{split}' in {data_root}")
 
@@ -383,7 +385,7 @@ def evaluate(ckpt_path: str, data_root: str, split: str = "val",
     acc = MetricAccumulator()
     n_slices = 0
     for cid in ids:
-        recs = extract_slices(samples[cid], crop, 0.0)
+        recs = extract_slices(loaders[cid](), crop, 0.0)
         case_pred = _predict_labels(model, recs, batch_size)
         acc.update(case_pred, np.stack([r.label for r in recs]))
         n_slices += len(recs)
@@ -437,6 +439,8 @@ def predict(ckpt_path: str, in_path: str, out_path: str, batch_size: int = 8) ->
     window and everything outside it stays background. Output is .svol,
     plus a .nii sibling (same geometry) when the input case was NIfTI.
     """
+    if not str(out_path).endswith(".svol"):
+        raise ConfigError(f"predict writes a .svol mask, not {out_path}")
     cfg, model = _load_run(ckpt_path)
     crop = cfg.crop
 

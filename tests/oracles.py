@@ -7,6 +7,8 @@ integer-valued float64 inputs, where every intermediate sum is exact in
 binary64 so reassociation cannot change the result.
 """
 
+import gzip
+import struct
 import types
 
 import numpy as np
@@ -208,6 +210,33 @@ def reference_adam_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=
         mhat = m[name] / bc1
         vhat = v[name] / bc2
         p -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+# ---------------------------------------------------------------------------
+# NIfTI reference: the whole-blob reader that the streaming read_nifti replaced
+
+
+def reference_read_nifti(path):
+    """A well-formed single-file NIfTI-1 volume, decoded from the whole file at once.
+
+    No validation: the file's bytes (gunzipped for .gz) are read in one call
+    and the payload is taken with frombuffer, then converted to native byte
+    order and scaled by scl_slope/scl_inter when the slope is nonzero.
+    """
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "rb") as fh:
+        blob = fh.read()
+    bo = "<" if struct.unpack_from("<i", blob, 0)[0] == 348 else ">"
+    nx, ny, nz = struct.unpack_from(bo + "8h", blob, 40)[1:4]
+    (datatype,) = struct.unpack_from(bo + "h", blob, 70)
+    vox_offset, slope, inter = struct.unpack_from(bo + "3f", blob, 108)
+    dtype = np.dtype({2: "u1", 4: "i2", 16: "f4", 512: "u2"}[datatype])
+    raw = np.frombuffer(blob, dtype=dtype.newbyteorder(bo), count=nx * ny * nz,
+                        offset=int(vox_offset))
+    vol = raw.reshape(nz, ny, nx).astype(dtype)
+    if slope != 0.0 and (slope != 1.0 or inter != 0.0):
+        vol = vol.astype(np.float32) * np.float32(slope) + np.float32(inter)
+    return vol
 
 
 # ---------------------------------------------------------------------------

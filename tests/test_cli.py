@@ -236,6 +236,15 @@ class TestPredictCommand:
         assert mask.shape == (8, 64, 64)
         assert (tmp_path / "mask.nii").is_file()  # input cases were NIfTI
 
+    def test_non_svol_output_is_config_error(self, cli_run, tmp_path, capsys):
+        assert run_cli("synth", "--out", str(tmp_path / "cases"), "--cases", "1",
+                       "--dims", "8x64x64") == 0
+        assert run_cli("predict", "--ckpt", str(cli_run / "best.ckpt"),
+                       "--in", str(tmp_path / "cases" / "synth_000"),
+                       "--out", str(tmp_path / "mask.nii")) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "mask.nii").exists()
+
     def test_missing_case_dir_is_data_error(self, cli_run, tmp_path):
         assert run_cli("predict", "--ckpt", str(cli_run / "best.ckpt"),
                        "--in", str(tmp_path / "ghost"),

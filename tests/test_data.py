@@ -3,9 +3,12 @@
 import collections
 import gzip
 import struct
+import threading
 
 import numpy as np
 import pytest
+
+import segforge.nifti as nifti_module
 
 from segforge.data import (DEFAULT_CROP, MODALITIES, SynthSpec, VolumeSample,
                            crop_offsets, extract_slices, list_cases, load_case,
@@ -17,6 +20,8 @@ from segforge.errors import (ConfigError, ContractError, DataError,
                              FormatError)
 from segforge.nifti import read_nifti, read_spacing, write_nifti
 from segforge.svol import read_svol, write_svol
+
+from oracles import reference_read_nifti
 
 
 class TestRemapLabels:
@@ -94,6 +99,18 @@ class TestSlicing:
         np.testing.assert_array_equal(r.label, sample.label[4, 8:72, 8:72])
         for i, m in enumerate(MODALITIES):
             np.testing.assert_array_equal(r.image[i], normed[m][4, 8:72, 8:72])
+
+    def test_window_zscore_is_full_volume_then_crop_bytewise(self):
+        sample = synth_case(6, dims=(8, 96, 128))
+        sample.modalities["t2"][:] = 0.0           # all-zero volume passes through
+        sample.modalities["t2"][3, 40, 60] = -0.0  # with its sign, inside the window
+        oh, ow = crop_offsets((96, 128), (64, 64))
+        want = np.stack([normalize_modality(sample.modalities[m])[:, oh:oh + 64, ow:ow + 64]
+                         for m in MODALITIES], axis=1)
+        records = extract_slices(sample, crop=(64, 64), min_foreground_fraction=0.0)
+        got = np.stack([r.image for r in records])
+        assert got.dtype == want.dtype
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
     def test_all_background_case_yields_nothing_above_threshold(self):
         sample = synth_case(0, dims=(8, 64, 64), num_lesions=0)
@@ -482,6 +499,85 @@ class TestHostileVolumeFiles:
                 read_nifti(path)
 
 
+def _gzip_members(*parts):
+    return b"".join(gzip.compress(part, compresslevel=1, mtime=0) for part in parts)
+
+
+def _with_extension(blob, vox_offset):
+    """`blob` (padded to vox_offset) with an extension flag and nonzero extension bytes."""
+    ext = b"\x01\x00\x00\x00" + bytes(range(1, vox_offset - 352 + 1))
+    return blob[:348] + ext + blob[vox_offset:]
+
+
+def _stream_fixtures():
+    rng = np.random.default_rng(7)
+    f32 = rng.normal(0, 1, (20, 160, 200)).astype(np.float32)   # 2.56 MB, three pieces
+    i2 = rng.integers(-3000, 3000, (3, 5, 7)).astype(np.int16)
+    u1 = rng.integers(0, 256, (4, 6, 9)).astype(np.uint8)
+    return {
+        "f32_pieces": build_nifti_bytes(f32, datatype=16),
+        "be_i2_scaled": build_nifti_bytes(i2, bo=">", datatype=4, scl=(0.5, -3.0)),
+        "u1": build_nifti_bytes(u1),
+        "extension": _with_extension(build_nifti_bytes(u1, vox_offset=400.0), 400),
+        "trailing": build_nifti_bytes(i2, datatype=4) + b"trailing bytes" * 50,
+    }
+
+
+class TestStreamingNiftiReader:
+    """read_nifti reads each payload piece by piece into its final array; the
+    result equals the whole-blob reference reader's, byte for byte."""
+
+    @staticmethod
+    def _assert_matches_reference(path):
+        vol, ref = read_nifti(path), reference_read_nifti(path)
+        assert vol.dtype == ref.dtype and vol.shape == ref.shape
+        assert vol.tobytes() == ref.tobytes()
+        assert vol.flags.writeable and vol.flags.c_contiguous
+
+    @pytest.mark.parametrize("piece", [None, 1000])   # default, and pieces off the item grid
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    def test_matches_whole_blob_reader(self, tmp_path, monkeypatch, suffix, piece):
+        if piece is not None:
+            monkeypatch.setattr(nifti_module, "PIECE", piece)
+        for name, blob in _stream_fixtures().items():
+            path = tmp_path / (name + suffix)
+            path.write_bytes(_gzip_members(blob) if suffix == ".nii.gz" else blob)
+            self._assert_matches_reference(path)
+
+    def test_two_member_gzip(self, tmp_path):
+        blob = _stream_fixtures()["f32_pieces"]
+        path = tmp_path / "two.nii.gz"
+        path.write_bytes(_gzip_members(blob[:1000], blob[1000:]))
+        self._assert_matches_reference(path)
+        path.write_bytes(_gzip_members(blob[:1000], blob[1000:-4]))
+        with pytest.raises(FormatError, match="truncated payload"):
+            read_nifti(path)
+
+    @pytest.mark.parametrize("name", ["h.nii", "h.nii.gz"])
+    def test_huge_dims_fail_before_allocating(self, tmp_path, monkeypatch, name):
+        blob = build_nifti_bytes(np.zeros((1, 1, 1), dtype=np.float32), datatype=16,
+                                 vox_offset=352.0, dim=(3, 32767, 32767, 32767, 1, 1, 1, 1))
+        path = tmp_path / name
+        path.write_bytes(_gzip_members(blob) if name.endswith(".gz") else blob)
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("read_nifti allocated before bounding the payload")
+
+        monkeypatch.setattr(np, "empty", no_allocation)
+        with pytest.raises(FormatError, match="truncated payload from byte 352"):
+            read_nifti(path)
+
+    @pytest.mark.parametrize("name", ["o.nii", "o.nii.gz"])
+    def test_non_finite_vox_offset(self, tmp_path, name):
+        blob = bytearray(build_nifti_bytes(np.zeros((1, 1, 2), dtype=np.uint8)))
+        path = tmp_path / name
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            struct.pack_into("<f", blob, 108, bad)
+            path.write_bytes(_gzip_members(bytes(blob)) if name.endswith(".gz") else blob)
+            with pytest.raises(FormatError, match="vox_offset .* at byte 108"):
+                read_nifti(path)
+
+
 class TestCaseIO:
     def test_volume_codec_follows_the_suffix(self, tmp_path):
         vol = np.arange(24, dtype=np.int16).reshape(2, 3, 4)
@@ -567,6 +663,40 @@ class TestCaseIO:
         write_nifti(case_dir / "dm_t2.nii", np.ones((8, 64, 96), dtype=np.float32))
         with pytest.raises(DataError):
             load_case(tmp_path, "dm")
+
+    def test_empty_case_dir_names_t1ce(self, tmp_path):
+        (tmp_path / "empty").mkdir()
+        threads = threading.active_count()
+        with pytest.raises(DataError, match="'t1ce'"):
+            load_case(tmp_path, "empty")
+        assert threading.active_count() == threads
+
+    def test_errors_come_in_file_order(self, tmp_path):
+        case_dir = write_case(synth_case(17, dims=(8, 64, 64), case_id="eo"), tmp_path)
+        # t1ce corrupt, seg missing: the t1ce error, as a sequential read meets it
+        t1ce = (case_dir / "eo_t1ce.nii").read_bytes()
+        (case_dir / "eo_t1ce.nii").write_bytes(t1ce[:-4])
+        (case_dir / "eo_seg.nii").unlink()
+        with pytest.raises(FormatError, match="eo_t1ce.nii"):
+            load_case(tmp_path, "eo", require_seg=True)
+        # t2 and flair corrupt: t2 comes first, even when flair fails faster
+        (case_dir / "eo_t1ce.nii").write_bytes(t1ce)
+        t2 = (case_dir / "eo_t2.nii").read_bytes()
+        (case_dir / "eo_t2.nii").write_bytes(t2[:-4])
+        (case_dir / "eo_flair.nii").write_bytes(b"")
+        for _ in range(5):
+            with pytest.raises(FormatError, match="eo_t2.nii"):
+                load_case(tmp_path, "eo", require_seg=False)
+
+    def test_reader_threads_end_with_the_call(self, tmp_path):
+        case_dir = write_case(synth_case(18, dims=(8, 64, 64), case_id="th"), tmp_path)
+        threads = threading.active_count()
+        load_case(tmp_path, "th")
+        assert threading.active_count() == threads
+        (case_dir / "th_flair.nii").write_bytes(b"")
+        with pytest.raises(FormatError):
+            load_case(tmp_path, "th")
+        assert threading.active_count() == threads
 
     def test_list_cases_sorted(self, tmp_path):
         for cid in ("zeta", "alpha"):

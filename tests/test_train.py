@@ -4,11 +4,13 @@ import dataclasses
 import json
 import re
 import typing
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import segforge.data as data_module
 from segforge.checkpoint import (CheckpointData, apply_arrays, load_checkpoint,
                                  model_arrays, restore_model, save_checkpoint)
 from segforge.data import (MODALITIES, extract_slices, load_data_root,
@@ -707,6 +709,24 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             evaluate(summary["last"], cfg.data_root, split="test")
 
+    def test_loads_one_case_at_a_time(self, overfit_run, tmp_path, monkeypatch):
+        root = tmp_path / "cases"
+        for i, cid in enumerate(("ca", "cb", "cc")):
+            write_case(synth_case([95, i], dims=(8, 64, 64), case_id=cid), root)
+        alive, most = [], []
+        real_load_case = data_module.load_case
+
+        def counting_load_case(*args, **kwargs):
+            sample = real_load_case(*args, **kwargs)
+            alive.append(weakref.ref(sample))
+            most.append(sum(ref() is not None for ref in alive))
+            return sample
+
+        monkeypatch.setattr(data_module, "load_case", counting_load_case)
+        report = evaluate(overfit_run["best"], str(root), split="all")
+        assert report["cases"] == 3
+        assert most == [1, 1, 1]
+
     def test_format_report_mentions_reference_status(self, overfit_run):
         cfg = overfit_run["config"]
         report = evaluate(overfit_run["best"], cfg.data_root, split="val")
@@ -759,6 +779,13 @@ class TestPredict:
         written = predict(overfit_run["best"], str(tmp_path / "cases" / "svcase"), str(out))
         assert "nii" not in written
         assert read_svol(out).shape == (12, 80, 80)
+
+    def test_output_must_be_svol(self, tmp_path):
+        # refused before the checkpoint or the case is looked at: neither exists
+        out = tmp_path / "mask.nii"
+        with pytest.raises(ConfigError, match="mask.nii"):
+            predict(str(tmp_path / "no.ckpt"), str(tmp_path / "no_case"), str(out))
+        assert not out.exists()
 
     def test_missing_case_and_small_planes(self, overfit_run, tmp_path):
         with pytest.raises(DataError):
