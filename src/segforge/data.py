@@ -213,11 +213,12 @@ def _label_volume(raw: np.ndarray, path: Path) -> np.ndarray:
             raise DataError(f"non-integer label values in {path}")
         raw = rounded.astype(np.int32)
     values = np.unique(raw)
-    if 4 in values:
-        return remap_labels(raw)
-    bad = [int(v) for v in values if not 0 <= int(v) < NUM_CLASSES]
+    allowed = RAW_LABELS if 4 in values else range(NUM_CLASSES)
+    bad = [int(v) for v in values if int(v) not in allowed]
     if bad:
-        raise DataError(f"label value(s) {bad} out of range in {path}")
+        raise DataError(f"label value(s) {bad} outside {sorted(allowed)} in {path}")
+    if 4 in values:
+        raw = np.where(raw == 4, 3, raw)
     return raw.astype(np.uint8, copy=False)
 
 
@@ -227,14 +228,15 @@ def load_case(root: str | Path, case_id: str, require_seg: bool = True) -> Volum
     The case's files are decoded concurrently, one thread each; errors are
     raised in file order, as a sequential read would meet them. Labels
     containing the raw value 4 are remapped to {0,1,2,3}; volumes already in
-    the contiguous convention are validated and kept bit-exact.
+    the contiguous convention are validated and kept bit-exact. Without
+    require_seg, no seg file is read and the label is all zero.
     """
     case_dir = Path(root) / case_id
     if not case_dir.is_dir():
         raise DataError(f"case directory not found: {case_dir}")
 
-    paths = {name: _find_modality_file(case_dir, case_id, name)
-             for name in (*MODALITIES, "seg")}
+    names = (*MODALITIES, "seg") if require_seg else MODALITIES
+    paths = {name: _find_modality_file(case_dir, case_id, name) for name in names}
     found = {name: path for name, path in paths.items() if path is not None}
     with ThreadPoolExecutor(max_workers=max(len(found), 1)) as pool:
         reads = {name: pool.submit(read_volume, path) for name, path in found.items()}

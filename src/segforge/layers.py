@@ -45,10 +45,10 @@ keeping a second copy (recomputation in backward: Chen et al.,
 arXiv:1604.06174):
 - conv2d: nothing more. Backward rebuilds `xp` and the per-tap weights, or
   `cols`, with the forward's own code, one extra gather per conv.
-- batch_norm: two per-channel vectors, the mean it subtracted (in eval
-  mode a snapshot of the running mean) and 1/std. Backward recomputes
-  `xhat` with the forward's subtraction and product, so it has the
-  forward's bytes. With relu=True the ReLU runs in place on the output,
+- batch_norm (train mode only; eval mode folds it into its conv): the batch
+  mean it subtracted and 1/std. Backward recomputes `xhat` with the
+  forward's subtraction and product, so it has the forward's bytes. With
+  relu=True the ReLU runs in place on the output,
   which is the node's one activation, and the rule takes its mask from
   `out > 0` (In-Place Activated BatchNorm: Rota Bulo, Porzi & Kontschieder,
   arXiv:1712.02616). The model fuses every BN that a ReLU follows: the
@@ -239,45 +239,34 @@ def _cols_to_image(gcols, x_shape, ksize, osize, stride, padding):
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool, momentum: float = BN_MOMENTUM, eps: float = BN_EPS,
                update_running: bool = True, relu: bool = False) -> Tensor:
-    """Per-channel normalization, optionally followed by a ReLU in the same node.
+    """Train-mode batch norm, optionally followed by a ReLU in the same node.
 
-    Train mode normalizes by batch statistics and (optionally) updates the
-    running estimates in place; eval mode is a fixed affine map of the input.
-    With relu=True the ReLU runs in place on the output, and the gradient
-    rule takes its mask from `out > 0`. The rule recomputes `xhat` from the
-    input with the forward's own ops, so the node keeps only per-channel
-    vectors besides its input and output.
+    Normalizes by batch statistics and (optionally) updates the running
+    estimates in place; eval mode folds each BN into its conv instead
+    (`model.conv_bn`). With relu=True the ReLU runs in place on the output
+    and the rule takes its mask from `out > 0`. The rule recomputes `xhat`
+    with the forward's own ops, so the node keeps only per-channel vectors.
     """
     if x.ndim != 4:
         raise ShapeError(f"batch_norm needs rank-4 input, got {x.shape}")
     n, c, h, w = x.shape
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError(f"batch_norm params must have shape ({c},)")
-    if running_mean.shape != (c,) or running_var.shape != (c,):
-        raise ShapeError(f"batch_norm running stats must have shape ({c},)")
+    if any(a.shape != (c,) for a in (gamma, beta, running_mean, running_var)):
+        raise ShapeError(f"batch_norm params and running stats must have shape ({c},)")
     chan = (1, c, 1, 1)
-
-    if training:
-        m = n * h * w
-        if m < 2:
-            raise ContractError("batch_norm train mode needs at least 2 values per channel")
-        shift = x.data.mean(axis=(0, 2, 3))
-        xhat = x.data - shift.reshape(chan)
-        var = _centred_var(xhat)
-        invstd = 1.0 / np.sqrt(var + eps)
-        xhat *= invstd.reshape(chan)
-        if update_running:
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * shift
-            running_var *= 1.0 - momentum
-            running_var += momentum * var * (m / (m - 1.0))
-    else:
-        # a snapshot: a later train-mode call updates running_mean in place
-        shift = running_mean.copy()
-        invstd = 1.0 / np.sqrt(running_var + eps)
-        xhat = (x.data - shift.reshape(chan)) * invstd.reshape(chan)
+    m = n * h * w
+    if m < 2:
+        raise ContractError("batch_norm needs at least 2 values per channel")
+    shift = x.data.mean(axis=(0, 2, 3))
+    xhat = x.data - shift.reshape(chan)
+    var = _centred_var(xhat)
+    invstd = 1.0 / np.sqrt(var + BN_EPS)
+    xhat *= invstd.reshape(chan)
+    if update_running:
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * shift
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var * (m / (m - 1.0))
 
     out = gamma.data.reshape(chan) * xhat + beta.data.reshape(chan)
     if relu:
@@ -289,16 +278,12 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         xhat = (x.data - shift.reshape(chan)) * invstd.reshape(chan)
         gbeta = g.sum(axis=(0, 2, 3))
         ggamma = (g * xhat).sum(axis=(0, 2, 3))
-        if training:
-            m = n * h * w
-            gxhat = g * gamma.data.reshape(chan)
-            gx = (invstd.reshape(chan) / m) * (
-                m * gxhat
-                - gxhat.sum(axis=(0, 2, 3), keepdims=True)
-                - xhat * (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-            )
-        else:
-            gx = g * (gamma.data * invstd).reshape(chan)
+        gxhat = g * gamma.data.reshape(chan)
+        gx = (invstd.reshape(chan) / m) * (
+            m * gxhat
+            - gxhat.sum(axis=(0, 2, 3), keepdims=True)
+            - xhat * (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+        )
         return gx, ggamma, gbeta
 
     return record("batch_norm", (x, gamma, beta), out, grad_fn)
@@ -467,21 +452,15 @@ class Conv2d(Module):
 class BatchNorm2d(Module):
     _buffers = ("running_mean", "running_var")
 
-    def __init__(self, channels: int, eps: float = BN_EPS, momentum: float = BN_MOMENTUM,
-                 dtype=np.float32):
-        self.eps = eps
-        self.momentum = momentum
+    def __init__(self, channels: int, dtype=np.float32):
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
 
-    def __call__(self, x: Tensor, training: bool = False,
-                 update_running: Optional[bool] = None, relu: bool = False) -> Tensor:
-        update = training if update_running is None else update_running
+    def __call__(self, x: Tensor, update_running: bool = True, relu: bool = False) -> Tensor:
         return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
-                          training=training, momentum=self.momentum, eps=self.eps,
-                          update_running=update, relu=relu)
+                          update_running=update_running, relu=relu)
 
 
 class Dense(Module):

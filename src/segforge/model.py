@@ -13,10 +13,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
-from .layers import (BatchNorm2d, Conv2d, Dense, Module, concat_channels,
+from .errors import ConfigError, ContractError, ShapeError
+from .layers import (BN_EPS, BatchNorm2d, Conv2d, Dense, Module, concat_channels, conv2d,
                      global_avg_pool, maxpool2d, upsample_nearest)
-from .tensor import Tensor, add, mul, relu, reshape, sigmoid
+from .tensor import Tensor, add, grad_enabled, mul, relu, reshape, sigmoid
 
 EXPANSION = 4  # bottleneck output channels = EXPANSION * mid width
 
@@ -117,6 +117,26 @@ PRESETS: dict[str, ModelConfig] = {
 }
 
 
+def conv_bn(conv: Conv2d, bn: BatchNorm2d, x: Tensor, training: bool,
+            relu: bool = False) -> Tensor:
+    """`bn(conv(x))`, ReLU fused when relu=True; in eval mode, one conv with the BN folded in.
+
+    The fold (Jacob et al., arXiv:1712.05877) is weight W*s and bias beta - mu*s, with
+    s = gamma / sqrt(var + eps), computed on each call. Eval mode runs under `no_grad`.
+    """
+    if training:
+        return bn(conv(x), relu=relu)
+    if grad_enabled():
+        raise ContractError("eval-mode forward records no gradients; run it under no_grad()")
+    scale = bn.gamma.data / np.sqrt(bn.running_var + BN_EPS)
+    mean = bn.running_mean if conv.bias is None else bn.running_mean - conv.bias.data
+    out = conv2d(x, Tensor(conv.weight.data * scale.reshape(-1, 1, 1, 1)),
+                 Tensor(bn.beta.data - mean * scale), conv.stride, conv.padding)
+    if relu:
+        np.maximum(out.data, 0, out=out.data)
+    return out
+
+
 class SEBlock(Module):
     """Squeeze-and-excitation: global pool -> bottleneck MLP -> sigmoid gate."""
 
@@ -158,13 +178,10 @@ class Bottleneck(Module):
             self.down_bn = None
 
     def __call__(self, x: Tensor, training: bool = False) -> Tensor:
-        y = self.bn1(self.conv1(x), training, relu=True)
-        y = self.bn2(self.conv2(y), training, relu=True)
-        y = self.se(self.bn3(self.conv3(y), training))
-        if self.down_conv is not None:
-            shortcut = self.down_bn(self.down_conv(x), training)
-        else:
-            shortcut = x
+        y = conv_bn(self.conv1, self.bn1, x, training, relu=True)
+        y = conv_bn(self.conv2, self.bn2, y, training, relu=True)
+        y = self.se(conv_bn(self.conv3, self.bn3, y, training))
+        shortcut = x if self.down_conv is None else conv_bn(self.down_conv, self.down_bn, x, training)
         return relu(add(y, shortcut))
 
 
@@ -187,7 +204,7 @@ class Encoder(Module):
             self.stages.append(blocks)
 
     def __call__(self, x: Tensor, training: bool = False) -> tuple[Tensor, ...]:
-        e1 = self.stem_bn(self.stem_conv(x), training, relu=True)
+        e1 = conv_bn(self.stem_conv, self.stem_bn, x, training, relu=True)
         y = maxpool2d(e1, 3, stride=2, padding=1)
         taps = [e1]
         for blocks in self.stages:
@@ -213,8 +230,8 @@ class DecoderStage(Module):
             y = concat_channels(y, skip)
         elif self.skip_channels:
             raise ShapeError("decoder stage built with a skip input but none was given")
-        y = self.bn1(self.conv1(y), training, relu=True)
-        return self.bn2(self.conv2(y), training, relu=True)
+        y = conv_bn(self.conv1, self.bn1, y, training, relu=True)
+        return conv_bn(self.conv2, self.bn2, y, training, relu=True)
 
 
 class SegmentationModel(Module):

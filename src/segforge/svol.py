@@ -6,6 +6,7 @@ dtype code (0=float32, 1=uint8, 2=int16), then the raw C-order payload.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
@@ -59,7 +60,7 @@ def read_svol(path: str | os.PathLike) -> np.ndarray:
     dtype = _DTYPE_CODES.get(code)
     if dtype is None:
         raise FormatError(f"unknown svol dtype code {code} in {path}")
-    count = int(np.prod(dims))
+    count = math.prod(dims)
     expected = off + count * dtype.itemsize
     if len(blob) != expected:
         raise FormatError(f"svol payload size mismatch in {path}: "

@@ -239,8 +239,8 @@ def _slices_for(samples, ids, crop, threshold) -> list[SliceRecord]:
 def _eval_batches(model, records, batch_size):
     """Eval-mode forward passes over `records`: yields (batch, logits, labels).
 
-    The caller holds `no_grad()` around the loop; a generator that held it
-    would leave gradients off on this thread if it were abandoned.
+    Eval mode records no tape: the caller holds `no_grad()` around the loop,
+    as a generator that held it would leave gradients off if abandoned.
     """
     for i in range(0, len(records), batch_size):
         batch = make_batch(records[i:i + batch_size])

@@ -16,6 +16,7 @@ import numpy as np
 from segforge.tensor import Tensor, backward, no_grad
 
 FD_H = 1e-5
+BN_EPS = 1e-5   # batch norm's epsilon, written out rather than imported from the package
 REL_TOL = 1e-4
 REL_FLOOR = 1e-6
 
@@ -141,6 +142,33 @@ def reference_conv2d(x, w, b, stride, padding, g):
     gb = g.sum(axis=(0, 2, 3)) if b is not None else None
     gx = nchw_cols_to_image(g2 @ wmat, x.shape, (kh, kw), (oh, ow), stride, padding)
     return out, gx, gw, gb
+
+
+def reference_eval_conv_bn(conv, bn, x, training, relu=False):
+    """Eval-mode conv -> batch norm -> ReLU in float64, the BN left unfolded.
+
+    Takes `segforge.model.conv_bn`'s arguments so a test can swap it in: the
+    conv on the reference lowering, then (y - mu) / sqrt(var + eps) * gamma
+    + beta per channel, then max(y, 0) when relu is set.
+    """
+    assert not training
+    w = conv.weight.data.astype(np.float64)
+    xd = x.data.astype(np.float64)
+    n, _, h, wd = xd.shape
+    oc, _, kh, kw = w.shape
+    oh = (h + 2 * conv.padding - kh) // conv.stride + 1
+    ow = (wd + 2 * conv.padding - kw) // conv.stride + 1
+    cols = window_im2col(xd, (kh, kw), (oh, ow), conv.stride, conv.padding)
+    y = (cols @ w.reshape(oc, -1).T).reshape(n, oh, ow, oc).transpose(0, 3, 1, 2)
+    if conv.bias is not None:
+        y = y + conv.bias.data.astype(np.float64).reshape(1, oc, 1, 1)
+
+    def chan(a):
+        return np.asarray(a, dtype=np.float64).reshape(1, oc, 1, 1)
+
+    y = (y - chan(bn.running_mean)) / np.sqrt(chan(bn.running_var) + BN_EPS)
+    y = y * chan(bn.gamma.data) + chan(bn.beta.data)
+    return Tensor(np.maximum(y, 0.0) if relu else y)
 
 
 # ---------------------------------------------------------------------------
@@ -387,18 +415,18 @@ def screened_bottleneck_instances(count, max_candidates=40):
                    requires_grad=True)
         with no_grad():
             c1 = block.conv1(x)
-            a = block.bn1(c1, True, update_running=False)
+            a = block.bn1(c1, update_running=False)
             c2 = block.conv2(relu(a))
-            b = block.bn2(c2, True, update_running=False)
+            b = block.bn2(c2, update_running=False)
             c3 = block.conv3(relu(b))
             variances = [c.data.var(axis=(0, 2, 3)).min() for c in (c1, c2, c3)]
             if block.down_conv is not None:
                 dc = block.down_conv(x)
                 variances.append(dc.data.var(axis=(0, 2, 3)).min())
-                shortcut = block.down_bn(dc, True, update_running=False)
+                shortcut = block.down_bn(dc, update_running=False)
             else:
                 shortcut = x
-            gated = block.se(block.bn3(c3, True, update_running=False))
+            gated = block.se(block.bn3(c3, update_running=False))
             pre = add(gated, shortcut)
             margin = min(float(np.abs(t.data).min()) for t in (a, b, pre))
         if margin >= 2e-4 and min(variances) >= 0.02:

@@ -4,6 +4,7 @@ import gzip
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
@@ -292,6 +293,13 @@ class TestConvertCommand:
         assert run_cli("convert", "--in", str(src), "--out", str(tmp_path / "b.raw")) == 2
         assert run_cli("convert", "--in", str(tmp_path / "a.txt"),
                        "--out", str(tmp_path / "b.svol")) == 2
+
+    def test_overflowing_svol_dims_are_format_error(self, tmp_path, capsys):
+        # rank 4, dims 65536^4, no payload: 2^64 elements, which wraps to 0 in int64
+        src = tmp_path / "big.svol"
+        src.write_bytes(b"SVOL0001" + struct.pack("<5I", 4, *[65536] * 4) + b"\x01")
+        assert run_cli("convert", "--in", str(src), "--out", str(tmp_path / "b.nii")) == 3
+        assert "payload size" in capsys.readouterr().err
 
     def test_missing_input_is_data_error(self, tmp_path):
         assert run_cli("convert", "--in", str(tmp_path / "none.svol"),

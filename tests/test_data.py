@@ -304,6 +304,10 @@ class TestSvolContainer:
         path.write_bytes(good + b"\x00")  # one byte short of two u1 values
         with pytest.raises(FormatError):
             read_svol(path)
+        # rank 4, dims 65536^4, no payload: 2^64 elements, which wraps to 0 in int64
+        path.write_bytes(b"SVOL0001" + struct.pack("<5I", 4, *[65536] * 4) + b"\x01")
+        with pytest.raises(FormatError, match="payload size"):
+            read_svol(path)
 
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError):
@@ -646,6 +650,26 @@ class TestCaseIO:
         write_nifti(case_dir / "partial_t1ce.nii", np.ones((4, 64, 64), dtype=np.float32))
         with pytest.raises(DataError):
             load_case(tmp_path, "partial")
+
+    def test_raw_label_four_takes_one_unique(self, tmp_path, monkeypatch):
+        sample = synth_case(14, dims=(8, 64, 64), case_id="raw")
+        case_dir = write_case(sample, tmp_path)
+        raw = sample.label.astype(np.int16)
+        raw[raw == 3] = 4
+        assert set(np.unique(raw)) == {0, 1, 2, 4}
+        write_nifti(case_dir / "raw_seg.nii", raw)
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+        label = load_case(tmp_path, "raw").label
+        monkeypatch.undo()
+        assert len(calls) == 1
+        want = remap_labels(raw)
+        assert label.dtype == want.dtype and label.tobytes() == want.tobytes()
+        raw[0, 0, 0] = 3   # 3 and 4 together are neither convention
+        write_nifti(case_dir / "raw_seg.nii", raw)
+        with pytest.raises(DataError, match=r"\[3\]"):
+            load_case(tmp_path, "raw")
 
     def test_missing_seg_behaviour(self, tmp_path):
         sample = synth_case(15, dims=(8, 64, 64), case_id="noseg")

@@ -9,10 +9,12 @@ from segforge.layers import (TAP_MIN_PLANE, BatchNorm2d, Conv2d, Dense, Module,
                              _centred_var, _cols_to_image, _image_to_cols, batch_norm,
                              concat_channels, conv2d, conv_out_size, dense, global_avg_pool,
                              maxpool2d, upsample_nearest)
-from segforge.tensor import Tensor, backward, mul, relu
+from segforge.model import conv_bn
+from segforge.tensor import Tensor, backward, mul, no_grad, relu
 
 from oracles import (grad_check, naive_conv2d, naive_conv2d_input_grad, naive_maxpool2d,
-                     nchw_cols_to_image, reference_conv2d, window_im2col)
+                     nchw_cols_to_image, reference_conv2d, reference_eval_conv_bn,
+                     window_im2col)
 
 
 def randt(seed, *dims, scale=1.0):
@@ -261,7 +263,7 @@ class TestBatchNorm:
         gamma = Tensor(np.ones(3, dtype=np.float64), requires_grad=True)
         beta = Tensor(np.zeros(3, dtype=np.float64), requires_grad=True)
         rm, rv = np.zeros(3), np.ones(3)
-        y = batch_norm(x, gamma, beta, rm, rv, training=True)
+        y = batch_norm(x, gamma, beta, rm, rv)
         np.testing.assert_allclose(y.data.mean(axis=(0, 2, 3)), np.zeros(3), atol=1e-7)
         np.testing.assert_allclose(y.data.var(axis=(0, 2, 3)), np.ones(3), atol=1e-4)
 
@@ -270,7 +272,7 @@ class TestBatchNorm:
         gamma = Tensor(np.ones(3, dtype=np.float64))
         beta = Tensor(np.zeros(3, dtype=np.float64))
         rm, rv = np.full(3, 0.5), np.full(3, 2.0)
-        batch_norm(x, gamma, beta, rm, rv, training=True, momentum=0.1)
+        batch_norm(x, gamma, beta, rm, rv)
         mu = x.data.mean(axis=(0, 2, 3))
         m = 2 * 4 * 4
         var_unbiased = x.data.var(axis=(0, 2, 3)) * m / (m - 1)
@@ -283,7 +285,7 @@ class TestBatchNorm:
         beta = Tensor(np.zeros(3, dtype=np.float64))
         for fused in (False, True):
             rm, rv = np.zeros(3), np.ones(3)
-            batch_norm(x, gamma, beta, rm, rv, training=True, update_running=False, relu=fused)
+            batch_norm(x, gamma, beta, rm, rv, update_running=False, relu=fused)
             assert np.array_equal(rm, np.zeros(3)) and np.array_equal(rv, np.ones(3))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -295,17 +297,16 @@ class TestBatchNorm:
         assert _centred_var(xc).tobytes() == want.tobytes()
         rm, rv = np.zeros(shape[1], dtype), np.ones(shape[1], dtype)
         ones = Tensor(np.ones(shape[1], dtype))
-        batch_norm(Tensor(x), ones, ones, rm, rv, training=True, momentum=0.1)
+        batch_norm(Tensor(x), ones, ones, rm, rv)
         m = x.size // shape[1]
         expect = np.ones(shape[1], dtype)
         expect *= 1.0 - 0.1
         expect += 0.1 * want * (m / (m - 1.0))
         assert rv.tobytes() == expect.tobytes()
 
-    @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", DESK_BN_SHAPES)
-    def test_fused_relu_equals_relu_of_batch_norm(self, shape, dtype, training):
+    def test_fused_relu_equals_relu_of_batch_norm(self, shape, dtype):
         c = shape[1]
         rng = np.random.default_rng(c * shape[2])
         x = rng.normal(0.5, 2.0, shape).astype(dtype)
@@ -319,7 +320,7 @@ class TestBatchNorm:
             gt = Tensor(gamma, requires_grad=True)
             bt = Tensor(beta, requires_grad=True)
             rm, rv = stats[0].copy(), stats[1].copy()
-            y = batch_norm(xt, gt, bt, rm, rv, training=training, relu=fused)
+            y = batch_norm(xt, gt, bt, rm, rv, relu=fused)
             if not fused:
                 y = relu(y)
             out = y.data.copy()
@@ -329,8 +330,29 @@ class TestBatchNorm:
         for got, want in zip(run(True), run(False)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("training", [True, False])
-    def test_fused_relu_gradients(self, training):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", DESK_BN_SHAPES)
+    def test_eval_fold_equals_unfolded_reference(self, shape, dtype):
+        n, c, h, w = shape
+        rng = np.random.default_rng(c * h)
+        conv = Conv2d(4, c, 3, padding=1, dtype=dtype)   # biased, unlike the model's convs
+        bn = BatchNorm2d(c, dtype=dtype)
+        conv.weight.data[...] = rng.normal(0, 0.5, conv.weight.shape)
+        conv.bias.data[...] = rng.normal(0, 0.5, c)
+        bn.gamma.data[...] = rng.uniform(0.5, 1.5, c)
+        bn.beta.data[...] = rng.normal(0, 0.3, c)
+        bn.running_mean[:] = rng.normal(0, 0.3, c)
+        bn.running_var[:] = rng.uniform(0.5, 2.0, c)
+        x = Tensor(rng.normal(0.5, 2.0, (n, 4, h, w)).astype(dtype))
+        with no_grad():
+            fused = conv_bn(conv, bn, x, training=False, relu=True).data
+            plain = conv_bn(conv, bn, x, training=False).data
+        assert fused.dtype == dtype and fused.tobytes() == np.maximum(plain, 0).tobytes()
+        want = reference_eval_conv_bn(conv, bn, x, training=False).data
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        np.testing.assert_allclose(plain, want, rtol=tol, atol=tol)
+
+    def test_fused_relu_gradients(self):
         x = randt(7, 2, 3, 4, 4, scale=2.0)
         gamma = randt(8, 3)
         beta = randt(9, 3)
@@ -339,44 +361,15 @@ class TestBatchNorm:
         weights = randt(10, 2, 3, 4, 4)
 
         def loss():
-            return mul(batch_norm(x, gamma, beta, rm.copy(), rv.copy(), training=training,
+            return mul(batch_norm(x, gamma, beta, rm.copy(), rv.copy(),
                                   update_running=False, relu=True), weights).sum()
 
         # every pre-activation clears the kink by far more than the FD step
-        pre = batch_norm(x, gamma, beta, rm.copy(), rv.copy(), training=training,
-                         update_running=False)
+        pre = batch_norm(x, gamma, beta, rm.copy(), rv.copy(), update_running=False)
         assert np.abs(pre.data).min() > 1e-3 and (pre.data > 0).any() and (pre.data < 0).any()
         assert grad_check(loss, [x, gamma, beta]) < 1e-4
 
-    def test_eval_rule_is_not_disturbed_by_a_later_train_call(self):
-        def eval_grads(disturb):
-            bn = BatchNorm2d(3, dtype=np.float64)
-            bn.running_mean[:] = [0.1, -0.2, 0.3]
-            bn.running_var[:] = [0.8, 1.2, 1.5]
-            x = randt(11, 2, 3, 4, 4, scale=2.0)
-            weights = randt(12, 2, 3, 4, 4)
-            loss = mul(bn(x, training=False, relu=True), weights).sum()
-            if disturb:
-                bn(randt(13, 2, 3, 4, 4, scale=3.0), training=True, update_running=True)
-                assert not np.array_equal(bn.running_mean, [0.1, -0.2, 0.3])
-            backward(loss)
-            return [x.grad, bn.gamma.grad, bn.beta.grad]
-
-        for got, want in zip(eval_grads(True), eval_grads(False)):
-            assert got.tobytes() == want.tobytes()
-
-    def test_eval_mode_is_affine_in_running_stats(self):
-        x = randt(3, 2, 3, 4, 4)
-        gamma = Tensor(np.full(3, 1.5, dtype=np.float64))
-        beta = Tensor(np.full(3, -0.5, dtype=np.float64))
-        rm = np.array([0.1, 0.2, 0.3])
-        rv = np.array([1.0, 2.0, 3.0])
-        y = batch_norm(x, gamma, beta, rm, rv, training=False)
-        want = (x.data - rm.reshape(1, 3, 1, 1)) / np.sqrt(rv + 1e-5).reshape(1, 3, 1, 1)
-        want = 1.5 * want - 0.5
-        np.testing.assert_allclose(y.data, want, rtol=1e-12)
-
-    def test_gradients_train_and_eval(self):
+    def test_gradients(self):
         for seed in range(5):
             x = randt(seed, 2, 3, 4, 4, scale=2.0)
             gamma = randt(seed + 10, 3)
@@ -385,20 +378,16 @@ class TestBatchNorm:
             rv = np.random.default_rng(seed).uniform(0.5, 2.0, 3)
             err = grad_check(
                 lambda: batch_norm(x, gamma, beta, rm.copy(), rv.copy(),
-                                   training=True, update_running=False).sum(),
+                                   update_running=False).sum(),
                 [x, gamma, beta])
-            assert err < 1e-4, f"train seed {seed}: {err}"
-            err = grad_check(
-                lambda: batch_norm(x, gamma, beta, rm, rv, training=False).sum(),
-                [x, gamma, beta])
-            assert err < 1e-4, f"eval seed {seed}: {err}"
+            assert err < 1e-4, f"seed {seed}: {err}"
 
     def test_needs_two_values_per_channel_in_train_mode(self):
         x = Tensor(np.zeros((1, 3, 1, 1), dtype=np.float32))
         gamma = Tensor(np.ones(3, dtype=np.float32))
         beta = Tensor(np.zeros(3, dtype=np.float32))
         with pytest.raises(ContractError):
-            batch_norm(x, gamma, beta, np.zeros(3), np.ones(3), training=True)
+            batch_norm(x, gamma, beta, np.zeros(3), np.ones(3))
 
     def test_layer_class_buffers(self):
         bn = BatchNorm2d(4)

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from segforge.errors import ConfigError, ShapeError
+from segforge import layers, model as model_module
+from segforge.errors import ConfigError, ContractError, ShapeError
 from segforge.model import (PRESETS, Bottleneck, ModelConfig, SEBlock,
                             SegmentationModel, build_model, init_parameters)
 from segforge.tensor import Tensor, _tape, backward, no_grad
 
-from oracles import (closure_arrays, grad_check, he_init_module, root_array,
-                     screened_bottleneck_instances, tape_bytes)
+from oracles import (closure_arrays, grad_check, he_init_module, reference_eval_conv_bn,
+                     root_array, screened_bottleneck_instances, tape_bytes)
 
 
 def randx(seed, *dims, scale=1.0):
@@ -107,6 +108,73 @@ class TestTapeMemory:
             extra = [a.shape for a in closure_arrays(node.grad_fn)
                      if id(root_array(a)) not in own and a.size > node.output.shape[1]]
             assert not extra, f"{node.op} rule keeps {extra}"
+
+
+def set_path(root, path, value):
+    """Set the attribute a dotted `named_parameters`/`named_buffers` path names."""
+    *parts, last = path.split(".")
+    for part in parts:
+        root = root[int(part)] if part.isdigit() else getattr(root, part)
+    setattr(root, last, value)
+
+
+def seeded_float64_desk_model(seed):
+    """Desk model in float64 with random gamma, beta and running stats."""
+    model = build_model(PRESETS["desk"])
+    rng = np.random.default_rng(seed)
+    for name, p in model.named_parameters():
+        if name.endswith("gamma"):
+            p.data = rng.uniform(0.5, 1.5, p.shape)
+        elif name.endswith("beta") or name.endswith("bias"):
+            p.data = rng.normal(0, 0.3, p.shape)
+        else:
+            p.data = p.data.astype(np.float64)
+    for name, b in model.named_buffers():
+        stat = rng.normal(0, 0.3, b.shape) if name.endswith("mean") else rng.uniform(0.5, 2, b.shape)
+        set_path(model, name, stat)
+    return model
+
+
+class TestEvalFold:
+    def test_desk_forward_matches_unfolded_reference(self, monkeypatch):
+        model = seeded_float64_desk_model(3)
+        x = Tensor(np.random.default_rng(4).normal(0, 1, (2, 3, 64, 64)))
+        with no_grad():
+            folded = model(x).data
+            monkeypatch.setattr(model_module, "conv_bn", reference_eval_conv_bn)
+            unfolded = model(x).data
+        assert folded.dtype == np.float64
+        np.testing.assert_allclose(folded, unfolded, rtol=1e-10)
+
+    def test_eval_mode_with_recording_on_is_a_contract_error(self):
+        model = build_model(PRESETS["desk"])
+        x = Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32))
+        with pytest.raises(ContractError, match="no_grad"):
+            model(x, training=False)
+
+    def test_eval_forward_runs_no_batch_norm(self, monkeypatch):
+        model = build_model(PRESETS["desk"])
+        x = Tensor(np.random.default_rng(6).normal(0, 1, (2, 3, 64, 64)).astype(np.float32))
+        calls = {"batch_norm": 0, "conv2d": 0}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(layers, "batch_norm", counted(layers.batch_norm))
+        conv = counted(layers.conv2d)
+        monkeypatch.setattr(layers, "conv2d", conv)
+        monkeypatch.setattr(model_module, "conv2d", conv)
+        with no_grad():
+            model(x)
+        convs = sum(1 for _, p in model.named_parameters() if p.ndim == 4)
+        assert calls == {"batch_norm": 0, "conv2d": convs}
+        with no_grad():
+            model(x, training=True)
+        bns = sum(1 for name, _ in model.named_buffers() if name.endswith("running_mean"))
+        assert calls == {"batch_norm": bns, "conv2d": 2 * convs}
 
 
 class TestSEBlock:

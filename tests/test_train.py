@@ -780,6 +780,18 @@ class TestPredict:
         assert "nii" not in written
         assert read_svol(out).shape == (12, 80, 80)
 
+    def test_corrupt_seg_is_not_read(self, overfit_run, tmp_path):
+        case = synth_case([94, 0], dims=(12, 80, 80), case_id="cseg")
+        case_dir = write_case(case, tmp_path / "cases", fmt="nii")
+        intact = predict(overfit_run["best"], str(case_dir), str(tmp_path / "a.svol"))
+        seg = case_dir / "cseg_seg.nii"
+        seg.write_bytes(seg.read_bytes()[:-100])
+        corrupt = predict(overfit_run["best"], str(case_dir), str(tmp_path / "b.svol"))
+        for key in ("svol", "nii"):
+            assert Path(corrupt[key]).read_bytes() == Path(intact[key]).read_bytes()
+        with pytest.raises(FormatError, match="cseg_seg.nii"):
+            evaluate(overfit_run["best"], str(tmp_path / "cases"), split="all")
+
     def test_output_must_be_svol(self, tmp_path):
         # refused before the checkpoint or the case is looked at: neither exists
         out = tmp_path / "mask.nii"
