@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, FormatError, open_input, open_output
 from .layers import Module
 from .model import ModelConfig, SegmentationModel
 
@@ -85,21 +85,14 @@ def save_checkpoint(path: str | os.PathLike, config: dict, model: Module,
     for name, arr in arrays.items():
         parts.append(_pack_entry(name, arr))
 
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
+    with open_output(path) as fh:
         fh.write(b"".join(parts))
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str | os.PathLike) -> CheckpointData:
     """Parse a checkpoint; a truncated or corrupt file raises FormatError with its byte offset."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except FileNotFoundError:
-        raise DataError(f"checkpoint not found: {path}") from None
-    except OSError as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from None
+    with open_input(path, "checkpoint") as fh:
+        blob = fh.read()
     if len(blob) < len(MAGIC) + 4 or blob[:len(MAGIC)] != MAGIC:
         raise FormatError(f"not a checkpoint file: {path}")
 

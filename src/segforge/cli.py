@@ -66,10 +66,8 @@ def cmd_train(args) -> int:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 base = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        except (OSError, ValueError) as exc:  # UnicodeDecodeError and JSONDecodeError both are
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
     elif args.preset:
         base = run_preset(args.preset).to_dict()
     else:

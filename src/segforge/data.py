@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, ContractError, DataError, make_dirs
 from .metrics import one_hot
 from .nifti import read_nifti, read_spacing, write_nifti
 from .svol import read_svol, write_svol
@@ -272,7 +272,7 @@ def write_case(sample: VolumeSample, root: str | Path, fmt: str = "nii") -> Path
     if fmt not in ("nii", "svol"):
         raise ConfigError(f"unknown case format '{fmt}' (use nii or svol)")
     case_dir = Path(root) / sample.case_id
-    case_dir.mkdir(parents=True, exist_ok=True)
+    make_dirs(case_dir)
     volumes = {name: sample.modalities[name].astype(np.float32, copy=False)
                for name in MODALITIES}
     volumes["seg"] = sample.label.astype(np.uint8, copy=False)

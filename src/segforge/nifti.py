@@ -23,7 +23,7 @@ import zlib
 
 import numpy as np
 
-from .errors import DataError, FormatError
+from .errors import FormatError, open_input, open_output
 
 HEADER_SIZE = 348
 MAGIC_SINGLE = b"n+1\x00"
@@ -45,19 +45,18 @@ def _open_volume(path):
     """The file open for reading, gunzipped for `.gz`, and a bound on the bytes it yields.
 
     The bound is the file size, or for gzip deflate's 1032:1 ceiling times the
-    compressed size. A missing file is a DataError; a truncated or corrupt
-    gzip stream, wherever a read meets it, is a FormatError naming the file.
+    compressed size. A file that cannot be opened is a DataError; a truncated
+    or corrupt gzip stream, wherever a read meets it, is a FormatError naming
+    the file.
     """
     try:
-        with open(path, "rb") as raw:
+        with open_input(path, "volume") as raw:
             size = os.fstat(raw.fileno()).st_size
             if str(path).endswith(".gz"):
                 with gzip.GzipFile(fileobj=raw, mode="rb") as fh:
                     yield fh, size * DEFLATE_MAX_RATIO
             else:
                 yield raw, size
-    except FileNotFoundError:
-        raise DataError(f"volume file not found: {path}") from None
     except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
         raise FormatError(f"corrupt gzip stream in {path}: {exc}") from None
 
@@ -196,10 +195,10 @@ def write_nifti(path: str | os.PathLike, volume: np.ndarray,
     hdr[344:348] = MAGIC_SINGLE
 
     payload = bytes(hdr) + b"\x00\x00\x00\x00" + arr.tobytes()
-    if str(path).endswith(".gz"):
-        with open(path, "wb") as fh:
-            with gzip.GzipFile(fileobj=fh, mode="wb", mtime=0) as gz:
+    with open_output(path) as fh:
+        if str(path).endswith(".gz"):
+            # the gzip header names `path`, not the temporary file written
+            with gzip.GzipFile(os.fspath(path), mode="wb", fileobj=fh, mtime=0) as gz:
                 gz.write(payload)
-    else:
-        with open(path, "wb") as fh:
+        else:
             fh.write(payload)

@@ -61,9 +61,22 @@ class Adam:
         p -= (m/bc1)*lr / (sqrt(v/bc2) + eps), applied chunk by chunk. Every
         term rounds in the parameter's dtype, which is also the dtype of each
         gradient that `backward` leaves.
+
+        Every gradient is checked before the first update, so a failed step
+        leaves the parameters, moments and step count untouched.
         """
-        self.step_count += 1
-        t = self.step_count
+        t = self.step_count + 1
+        for name, p in self.params.items():
+            g = p.grad
+            if g is None:
+                continue
+            if not np.all(np.isfinite(g)):
+                raise NumericError(f"non-finite gradient for parameter '{name}' "
+                                   f"at step {t}")
+            if g.shape != p.data.shape:
+                raise ShapeError(f"gradient shape {g.shape} does not match "
+                                 f"parameter '{name}' {p.data.shape}")
+        self.step_count = t
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         bc1 = 1.0 - b1 ** t
         bc2 = 1.0 - b2 ** t
@@ -71,15 +84,7 @@ class Adam:
         scratch = {dt: np.empty((2, CHUNK), dtype=dt)
                    for dt in {p.data.dtype for p in self.params.values()}}
         for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            elif not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient for parameter '{name}' "
-                                   f"at step {t}")
-            elif g.shape != p.data.shape:
-                raise ShapeError(f"gradient shape {g.shape} does not match "
-                                 f"parameter '{name}' {p.data.shape}")
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
             ubuf, dbuf = scratch[p.data.dtype]
             # p.data, m and v are C-contiguous, so these are views
             flats = [a.reshape(-1) for a in (p.data, self.m[name], self.v[name])]

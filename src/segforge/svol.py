@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from .errors import DataError, FormatError
+from .errors import FormatError, open_input, open_output
 
 MAGIC = b"SVOL0001"
 
@@ -22,15 +22,22 @@ MAX_RANK = 8
 
 
 def write_svol(path: str | os.PathLike, array: np.ndarray) -> None:
-    """Store any float, unsigned or signed integer array as float32, uint8 or int16."""
+    """Store any float, unsigned or signed integer array as float32, uint8 or int16.
+
+    An integer value the stored type cannot hold is a FormatError, not wrapped.
+    """
     arr = np.ascontiguousarray(array)
     code = _CODE_FOR_KIND.get(arr.dtype.kind)
     if code is None:
         raise FormatError(f"svol cannot store dtype {arr.dtype}")
-    arr = arr.astype(_DTYPE_CODES[code], copy=False)
+    stored = arr.astype(_DTYPE_CODES[code], copy=False)
+    if arr.dtype.kind != "f" and stored.dtype != arr.dtype and not np.array_equal(stored, arr):
+        raise FormatError(f"svol stores {arr.dtype} as {stored.dtype}, "
+                          f"which cannot hold every value of this array")
+    arr = stored
     if arr.ndim < 1 or arr.ndim > MAX_RANK:
         raise FormatError(f"svol rank must be 1..{MAX_RANK}, got {arr.ndim}")
-    with open(path, "wb") as fh:
+    with open_output(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
@@ -39,11 +46,8 @@ def write_svol(path: str | os.PathLike, array: np.ndarray) -> None:
 
 
 def read_svol(path: str | os.PathLike) -> np.ndarray:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except FileNotFoundError:
-        raise DataError(f"volume file not found: {path}") from None
+    with open_input(path, "volume") as fh:
+        blob = fh.read()
     if len(blob) < len(MAGIC) + 4 or blob[:len(MAGIC)] != MAGIC:
         raise FormatError(f"not a svol file: {path}")
     off = len(MAGIC)

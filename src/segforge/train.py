@@ -25,7 +25,7 @@ from .data import (DEFAULT_CROP, MIN_FOREGROUND_DEFAULT, NUM_CLASSES, TRAIN_FRAC
                    SliceRecord, _find_modality_file, case_loaders, crop_offsets,
                    extract_slices, load_case, load_data_root, make_batch, split_dataset,
                    write_volume)
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, make_dirs, open_input, open_output
 from .metrics import (_confusion_matrix, _confusion_scores, cross_entropy_loss,
                       logits_to_labels, soft_dice_loss)
 from .model import ConfigDocument, ModelConfig, PRESETS, SegmentationModel, build_model
@@ -209,10 +209,8 @@ def export_curves(records, path: str | os.PathLike) -> None:
     lines = [CURVES_HEADER]
     for r in rows:
         lines.append(",".join(format(getattr(r, k), spec) for k, spec in _CURVES_FORMATS.items()))
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    with open_output(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +289,7 @@ def train(cfg: RunConfig, verbose: bool = False) -> dict:
                      eps=cfg.optimizer.eps)
 
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dirs(out_dir)
     curves_path = out_dir / "curves.csv"
     last_path = out_dir / "last.ckpt"
     best_path = out_dir / "best.ckpt"
@@ -322,9 +320,9 @@ def train(cfg: RunConfig, verbose: bool = False) -> dict:
         if improved:
             best = {"epoch": epoch, "dice": val_rec.dice}
         save_checkpoint(last_path, cfg_dict, model, optimizer, epoch=epoch, best=best)
-        if improved:   # same state as last.ckpt: copy its bytes, atomically
-            shutil.copyfile(last_path, f"{best_path}.tmp")
-            os.replace(f"{best_path}.tmp", best_path)
+        if improved:   # same state as last.ckpt: copy its bytes
+            with open_input(last_path, "checkpoint") as src, open_output(best_path) as dst:
+                shutil.copyfileobj(src, dst)
         export_curves(records, curves_path)
         if verbose:
             print(f"epoch {epoch}/{cfg.epochs}  "
@@ -380,7 +378,7 @@ def evaluate(ckpt_path: str, data_root: str, split: str = "val",
         raise DataError(f"no cases selected for split '{split}' in {data_root}")
 
     if save_masks:
-        Path(save_masks).mkdir(parents=True, exist_ok=True)
+        make_dirs(save_masks)
 
     acc = MetricAccumulator()
     n_slices = 0
@@ -403,9 +401,8 @@ def evaluate(ckpt_path: str, data_root: str, split: str = "val",
         "reference": PUBLISHED_REFERENCE,
     }
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with open_output(out_path) as fh:
+            fh.write((json.dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     return report
 
 

@@ -306,6 +306,48 @@ class TestConvertCommand:
                        "--out", str(tmp_path / "b.nii")) == 3
 
 
+class TestUnusablePaths:
+    """A path that cannot be opened, written or made a directory exits with a typed error.
+
+    In each argv, {t} is the test's directory (itself a directory) and
+    {run} the shared training run. {t}/a.svol and {t}/b.nii are
+    directories, {t}/file is an existing file, {t}/nodir does not exist.
+    """
+
+    @pytest.mark.parametrize("code,argv", [
+        (3, "convert --in {t}/a.svol --out {t}/x.nii"),
+        (3, "convert --in {t}/b.nii --out {t}/x.svol"),
+        (2, "convert --in {t}/v.svol --out {t}/nodir/x.svol"),
+        (2, "convert --in {t}/v.svol --out {t}/nodir/x.nii"),
+        (2, "train --config {t}"),
+        (2, "train --config {t}/bom.json"),
+        (2, f"train --preset desk --quiet --override data_root={TINY_ROOT} "
+            "--override val_on_train=true --override output_dir={t}/file"),
+        (2, f"eval --ckpt {{run}}/best.ckpt --data {TINY_ROOT} --out {{t}}/nodir/r.json"),
+        (2, f"eval --ckpt {{run}}/best.ckpt --data {TINY_ROOT} --save-masks {{t}}/file "
+            "--out {t}/r.json"),
+        (2, "predict --ckpt {run}/best.ckpt --in {t}/cases/synth_000 --out {t}/nodir/m.svol"),
+        (2, "synth --out {t}/file --cases 1 --dims 8x64x64"),
+        (3, "predict --ckpt {t} --in {t}/cases/synth_000 --out {t}/m.svol"),
+    ])
+    def test_typed_error_and_no_temp_file(self, cli_run, tmp_path, capsys, code, argv):
+        (tmp_path / "a.svol").mkdir()
+        (tmp_path / "b.nii").mkdir()
+        (tmp_path / "file").write_bytes(b"kept")
+        (tmp_path / "bom.json").write_bytes(b"\xff\xfe{}")
+        write_svol(tmp_path / "v.svol", np.zeros((2, 2, 2), dtype=np.uint8))
+        if argv.startswith("predict"):
+            assert run_cli("synth", "--out", str(tmp_path / "cases"), "--cases", "1",
+                           "--dims", "8x64x64") == 0
+            capsys.readouterr()
+        assert run_cli(*(a.format(t=tmp_path, run=cli_run) for a in argv.split())) == code
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " if code == 2 else "data error: ")
+        assert "Traceback" not in err
+        assert not [*tmp_path.rglob("*.tmp"), *cli_run.rglob("*.tmp")]
+        assert (tmp_path / "file").read_bytes() == b"kept"
+
+
 class TestInstalledEntryPoint:
     """The declared `segforge` command runs as its own process.
 

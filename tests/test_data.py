@@ -1,13 +1,17 @@
 """Data pipeline: transforms, case IO, splits, synthetic volumes, containers."""
 
+import ast
 import collections
 import gzip
+import re
 import struct
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import segforge
 import segforge.nifti as nifti_module
 
 from segforge.data import (DEFAULT_CROP, MODALITIES, SynthSpec, VolumeSample,
@@ -17,7 +21,7 @@ from segforge.data import (DEFAULT_CROP, MODALITIES, SynthSpec, VolumeSample,
                            split_dataset, synth_case, synth_dataset,
                            synth_lesion_geometry, write_case, write_volume)
 from segforge.errors import (ConfigError, ContractError, DataError,
-                             FormatError)
+                             FormatError, open_output)
 from segforge.nifti import read_nifti, read_spacing, write_nifti
 from segforge.svol import read_svol, write_svol
 
@@ -287,6 +291,20 @@ class TestSvolContainer:
         back = read_svol(tmp_path / "x.svol")
         assert back.dtype == np.float32
         np.testing.assert_array_equal(back, arr.astype(np.float32))
+
+    @pytest.mark.parametrize("arr", [np.array([0, 7, 255], dtype=np.uint16),
+                                     np.array([-32768, 5, 32767], dtype=np.int32)])
+    def test_integers_in_range_round_trip_exactly(self, tmp_path, arr):
+        write_svol(tmp_path / "x.svol", arr)
+        np.testing.assert_array_equal(read_svol(tmp_path / "x.svol"), arr)
+
+    @pytest.mark.parametrize("arr", [np.array([300, 65535], dtype=np.uint16),
+                                     np.array([70000], dtype=np.int32),
+                                     np.array([2**64 - 1], dtype=np.uint64)])
+    def test_integers_out_of_range_are_refused(self, tmp_path, arr):
+        with pytest.raises(FormatError, match="cannot hold"):
+            write_svol(tmp_path / "x.svol", arr)
+        assert not list(tmp_path.iterdir())
 
     def test_format_errors(self, tmp_path):
         path = tmp_path / "bad.svol"
@@ -729,3 +747,54 @@ class TestCaseIO:
         assert list_cases(tmp_path) == ["alpha", "zeta"]
         with pytest.raises(DataError):
             list_cases(tmp_path / "void")
+
+
+def _writes_files(call: ast.Call) -> bool:
+    """Whether `call` renames or copies a file, makes a directory, or opens a file to write."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    owner = getattr(getattr(func, "value", None), "id", None)
+    if name in ("mkdir", "makedirs", "write_bytes", "write_text"):
+        return True
+    if (owner == "os" and name in ("replace", "rename")) or \
+            (owner == "shutil" and name != "copyfileobj"):
+        return True
+    if name != "open":
+        return False
+    modes = [*call.args[:2], *(k.value for k in call.keywords if k.arg == "mode")]
+    return any(isinstance(m, ast.Constant) and isinstance(m.value, str)
+               and re.fullmatch(r"[rbt]*[wax+][rwaxbt+]*", m.value) for m in modes)
+
+
+class TestFilePolicy:
+    """Files are opened, written and made only through the helpers in errors.py."""
+
+    def test_failed_block_keeps_the_old_file_and_no_temp(self, tmp_path):
+        target = tmp_path / "out.bin"
+        target.write_bytes(b"old")
+        with pytest.raises(RuntimeError, match="interrupted"):
+            with open_output(target) as fh:
+                fh.write(b"new, never completed")
+                raise RuntimeError("interrupted")
+        assert target.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+        with open_output(target) as fh:
+            fh.write(b"new")
+        assert target.read_bytes() == b"new"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_gzip_header_names_the_final_file(self, tmp_path):
+        write_nifti(tmp_path / "x.nii.gz", np.zeros((2, 3, 4), dtype=np.uint8))
+        blob = (tmp_path / "x.nii.gz").read_bytes()
+        assert blob[3] & 0x08                                 # FNAME flag
+        assert blob[10:blob.index(b"\0", 10)] == b"x.nii"
+
+    def test_only_errors_py_writes_files(self):
+        src = Path(segforge.__file__).parent
+        offenders = [f"{path.name}:{node.lineno}"
+                     for path in sorted(src.glob("*.py")) if path.name != "errors.py"
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.Call) and _writes_files(node)]
+        assert offenders == []
+        assert _writes_files(ast.parse("open(p, 'wb')").body[0].value)
+        assert not _writes_files(ast.parse("open(p, 'rb')").body[0].value)

@@ -234,6 +234,29 @@ class TestChunkedAdam:
         after = (params["b"].data, opt.m["b"], opt.v["b"])
         assert all(same_bits(x, y) for x, y in zip(before, after))
 
+    @pytest.mark.parametrize("fault", ["nan", "shape"])
+    def test_failed_step_leaves_every_parameter_untouched(self, fault):
+        rng = np.random.default_rng(4)
+        params = {name: Tensor(rng.standard_normal(CHUNK + 3).astype(np.float32),
+                               requires_grad=True) for name in ("a", "b", "c")}
+        opt = Adam(params, lr=1e-2)
+        for p in params.values():
+            p.grad = rng.standard_normal(p.shape).astype(np.float32)
+        opt.step()
+        before = {n: [a.copy() for a in (p.data, opt.m[n], opt.v[n])] for n, p in params.items()}
+        if fault == "nan":
+            params["c"].grad[-1] = np.nan
+            error = pytest.raises(NumericError,
+                                  match=r"^non-finite gradient for parameter 'c' at step 2$")
+        else:
+            params["c"].grad = params["c"].grad[:-1]
+            error = pytest.raises(ShapeError, match="'c'")
+        with error:
+            opt.step()
+        assert opt.step_count == 1
+        for n, p in params.items():
+            assert all(same_bits(x, y) for x, y in zip(before[n], (p.data, opt.m[n], opt.v[n]))), n
+
     def test_fortran_ordered_moments_are_updated_in_place(self):
         rng = np.random.default_rng(5)
         w = rng.standard_normal((CHUNK // 100, 300)).astype(np.float32)
