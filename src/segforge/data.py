@@ -9,7 +9,9 @@ Cases follow the BraTS layout `<root>/<case_id>/<case_id>_<modality>.nii`
 `<root>/<case_id>/<modality>.svol`. Three modalities (T1ce, T2, FLAIR)
 become the network's input channels; segmentation labels are remapped from
 the raw {0,1,2,4} convention to contiguous {0,1,2,3}. Training happens on
-axial 2D slices.
+axial 2D slices: `extract_slices` cuts a case into one `SliceBatch`, a pair
+of stacked arrays (images and labels), and `make_batch` indexes batches out
+of it.
 
 Everything is deterministic: synthetic cases are pure functions of their
 seed, and splits are pure functions of (ids, fraction, seed). `load_case`
@@ -29,7 +31,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError, make_dirs
-from .metrics import one_hot
 from .nifti import read_nifti, read_spacing, write_nifti
 from .svol import read_svol, write_svol
 
@@ -56,20 +57,13 @@ class VolumeSample:
 
 
 @dataclass
-class SliceRecord:
-    """One axial training sample cut from a case."""
-    image: np.ndarray    # [3,H,W] float32, normalized
-    label: np.ndarray    # [H,W] uint8
-    case_id: str
-    slice_index: int
-
-
-@dataclass
 class SliceBatch:
+    """Axial slices in depth order: normalized image channels and their labels."""
     images: np.ndarray    # [N,3,H,W] float32
-    targets: np.ndarray   # [N,4,H,W] float32 one-hot
     labels: np.ndarray    # [N,H,W] uint8
-    source: list[tuple[str, int]]
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -125,43 +119,36 @@ def crop_offsets(shape_hw: tuple[int, int], crop: tuple[int, int]) -> tuple[int,
 
 
 def extract_slices(sample: VolumeSample, crop: tuple[int, int] = DEFAULT_CROP,
-                   min_foreground_fraction: float = 0.0) -> list[SliceRecord]:
+                   min_foreground_fraction: float = 0.0) -> SliceBatch:
     """Normalize, center-crop and slice a case along the depth axis.
 
     Each modality is z-scored by the stats of its whole volume, but only
-    inside the crop window. Slices whose foreground (label > 0) fraction
-    falls below the threshold are dropped; training passes a small positive
-    threshold while evaluation passes 0.0 to keep every slice.
+    inside the crop window, and written as one channel of the stacked
+    images. Slices whose foreground (label > 0) fraction falls below the
+    threshold are dropped; training passes a small positive threshold while
+    evaluation passes 0.0 to keep every slice.
     """
-    d, h, w = sample.dims
     ch, cw = crop
-    oh, ow = crop_offsets((h, w), crop)
-    normed = []
-    for m in MODALITIES:
-        vol = np.asarray(sample.modalities[m], dtype=np.float32)
-        normed.append(_zscore(vol[:, oh:oh + ch, ow:ow + cw], _nonzero_stats(vol)))
+    oh, ow = crop_offsets(sample.dims[1:], crop)
     labels = sample.label[:, oh:oh + ch, ow:ow + cw]
-    records = []
-    area = ch * cw
-    for z in range(d):
-        frac = int(np.count_nonzero(labels[z])) / area
-        if frac < min_foreground_fraction:
-            continue
-        image = np.ascontiguousarray(np.stack([vol[z] for vol in normed]))
-        records.append(SliceRecord(image=image, label=np.ascontiguousarray(labels[z]),
-                                   case_id=sample.case_id, slice_index=z))
-    return records
+    keep = np.flatnonzero(np.count_nonzero(labels, axis=(1, 2)) / (ch * cw)
+                          >= min_foreground_fraction)
+    stats = [_nonzero_stats(np.asarray(sample.modalities[m], dtype=np.float32))
+             for m in MODALITIES]
+    # allocated only now, once the stats' whole-volume temporaries are freed
+    images = np.empty((len(keep), len(MODALITIES), ch, cw), dtype=np.float32)
+    for i, m in enumerate(MODALITIES):
+        kept = sample.modalities[m][keep, oh:oh + ch, ow:ow + cw].astype(np.float32, copy=False)
+        images[:, i] = _zscore(kept, stats[i])
+    return SliceBatch(images=images, labels=labels[keep])
 
 
-def make_batch(records: list[SliceRecord]) -> SliceBatch:
-    """Stack slice records into arrays plus one-hot targets."""
-    if not records:
-        raise ContractError("make_batch needs at least one slice record")
-    images = np.stack([r.image for r in records])
-    labels = np.stack([r.label for r in records])
-    targets = one_hot(labels, NUM_CLASSES)
-    source = [(r.case_id, r.slice_index) for r in records]
-    return SliceBatch(images=images, targets=targets, labels=labels, source=source)
+def make_batch(slices: SliceBatch, index) -> SliceBatch:
+    """The slices `index` selects: a basic slice gives views, an index array copies."""
+    batch = SliceBatch(images=slices.images[index], labels=slices.labels[index])
+    if not len(batch):
+        raise ContractError("make_batch needs at least one slice")
+    return batch
 
 
 # ---------------------------------------------------------------------------

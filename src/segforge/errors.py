@@ -71,6 +71,13 @@ def open_output(path):
             os.remove(tmp)      # still there only if the block or the rename failed
 
 
+def check_output_dir(path) -> None:
+    """A ConfigError unless the directory that output `path` would be written into exists."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise ConfigError(f"cannot write {path}: no directory {parent}")
+
+
 def make_dirs(path) -> None:
     """Create directory `path` and any missing parents; an OSError is a ConfigError."""
     try:

@@ -400,40 +400,29 @@ def dense(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
 
 class Module:
-    """Minimal parameter container; children are discovered from attributes."""
+    """Minimal parameter container: parameters are its Tensor attributes and buffers
+    its ndarray ones, found through child modules and lists of them."""
 
-    _buffers: tuple[str, ...] = ()
+    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
+        return _walk(self, "", Tensor)
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        for name, value in vars(self).items():
-            yield from _walk_params(value, prefix + name)
-
-    def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
-        for bname in self._buffers:
-            yield prefix + bname, getattr(self, bname)
-        for name, value in vars(self).items():
-            yield from _walk_buffers(value, prefix + name)
+    def named_buffers(self) -> Iterator[tuple[str, np.ndarray]]:
+        return _walk(self, "", np.ndarray)
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
 
 
-def _walk_params(value, path):
-    if isinstance(value, Tensor):
+def _walk(value, path, kind):
+    """(dotted path, value) of every `kind` instance under `value`, in attribute order."""
+    if isinstance(value, kind):
         yield path, value
     elif isinstance(value, Module):
-        yield from value.named_parameters(path + ".")
+        for name, child in vars(value).items():
+            yield from _walk(child, f"{path}.{name}" if path else name, kind)
     elif isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
-            yield from _walk_params(item, f"{path}.{i}")
-
-
-def _walk_buffers(value, path):
-    if isinstance(value, Module):
-        yield from value.named_buffers(path + ".")
-    elif isinstance(value, (list, tuple)):
-        for i, item in enumerate(value):
-            yield from _walk_buffers(item, f"{path}.{i}")
+            yield from _walk(item, f"{path}.{i}", kind)
 
 
 class Conv2d(Module):
@@ -450,8 +439,6 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    _buffers = ("running_mean", "running_var")
-
     def __init__(self, channels: int, dtype=np.float32):
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)

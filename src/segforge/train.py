@@ -22,12 +22,12 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, restore_model, save_checkpoint
 from .data import (DEFAULT_CROP, MIN_FOREGROUND_DEFAULT, NUM_CLASSES, TRAIN_FRACTION,
-                   SliceRecord, _find_modality_file, case_loaders, crop_offsets,
-                   extract_slices, load_case, load_data_root, make_batch, split_dataset,
-                   write_volume)
-from .errors import ConfigError, DataError, make_dirs, open_input, open_output
+                   SliceBatch, case_loaders, crop_offsets, extract_slices, load_case,
+                   load_data_root, make_batch, split_dataset, write_volume)
+from .errors import (ConfigError, DataError, check_output_dir, make_dirs, open_input,
+                     open_output)
 from .metrics import (_confusion_matrix, _confusion_scores, cross_entropy_loss,
-                      logits_to_labels, soft_dice_loss)
+                      logits_to_labels, one_hot, soft_dice_loss)
 from .model import ConfigDocument, ModelConfig, PRESETS, SegmentationModel, build_model
 from .optim import Adam
 from .svol import write_svol
@@ -217,7 +217,9 @@ def export_curves(records, path: str | os.PathLike) -> None:
 # training
 
 
-def _combined_loss(logits, targets, loss_cfg: LossConfig):
+def _combined_loss(logits, labels, loss_cfg: LossConfig):
+    """Weighted soft Dice plus cross entropy against [N,H,W] `labels`, one-hot encoded here."""
+    targets = one_hot(labels, NUM_CLASSES)
     loss = None
     if loss_cfg.dice_weight:
         loss = soft_dice_loss(logits, targets) * loss_cfg.dice_weight
@@ -227,32 +229,31 @@ def _combined_loss(logits, targets, loss_cfg: LossConfig):
     return loss
 
 
-def _slices_for(samples, ids, crop, threshold) -> list[SliceRecord]:
-    out = []
-    for cid in ids:
-        out.extend(extract_slices(samples[cid], crop, threshold))
-    return out
+def _slices_for(samples, ids, crop, threshold) -> SliceBatch:
+    parts = [extract_slices(samples[cid], crop, threshold) for cid in ids]
+    return SliceBatch(images=np.concatenate([p.images for p in parts]),
+                      labels=np.concatenate([p.labels for p in parts]))
 
 
-def _eval_batches(model, records, batch_size):
-    """Eval-mode forward passes over `records`: yields (batch, logits, labels).
+def _eval_batches(model, slices: SliceBatch, batch_size):
+    """Eval-mode forward passes over `slices`: yields (batch, logits, labels).
 
-    Eval mode records no tape: the caller holds `no_grad()` around the loop,
-    as a generator that held it would leave gradients off if abandoned.
+    Each batch is a view of `slices`, not a copy. Eval mode records no tape:
+    the caller holds `no_grad()` around the loop, as a generator that held
+    it would leave gradients off if abandoned.
     """
-    for i in range(0, len(records), batch_size):
-        batch = make_batch(records[i:i + batch_size])
+    for i in range(0, len(slices), batch_size):
+        batch = make_batch(slices, slice(i, i + batch_size))
         logits = model(Tensor(batch.images), training=False)
         yield batch, logits, logits_to_labels(logits.data)
 
 
-def _eval_pass(model, records, cfg_loss, batch_size, epoch, split) -> MetricRecord:
+def _eval_pass(model, slices, cfg_loss, batch_size, epoch, split) -> MetricRecord:
     acc = MetricAccumulator()
     with no_grad():
-        for batch, logits, pred in _eval_batches(model, records, batch_size):
+        for batch, logits, pred in _eval_batches(model, slices, batch_size):
             acc.update(pred, batch.labels)
-            acc.add_loss(_combined_loss(logits, batch.targets, cfg_loss).item(),
-                         len(batch.source))
+            acc.add_loss(_combined_loss(logits, batch.labels, cfg_loss).item(), len(batch))
     return acc.record(epoch, split)
 
 
@@ -273,13 +274,15 @@ def train(cfg: RunConfig, verbose: bool = False) -> dict:
     split, last.ckpt always and best.ckpt on improved validation Dice.
     """
     cfg.validate()
+    out_dir = Path(cfg.output_dir)
+    make_dirs(out_dir)
     samples = load_data_root(cfg.data_root)
     ids = sorted(samples)
     train_ids, val_ids = _train_val_ids(cfg, ids)
 
-    train_records = _slices_for(samples, train_ids, cfg.crop, cfg.min_foreground)
-    val_records = _slices_for(samples, val_ids, cfg.crop, 0.0)
-    if not train_records:
+    train_slices = _slices_for(samples, train_ids, cfg.crop, cfg.min_foreground)
+    val_slices = _slices_for(samples, val_ids, cfg.crop, 0.0)
+    if not len(train_slices):
         raise DataError(f"no training slices above foreground threshold "
                         f"{cfg.min_foreground} in {cfg.data_root}")
 
@@ -288,8 +291,6 @@ def train(cfg: RunConfig, verbose: bool = False) -> dict:
                      beta1=cfg.optimizer.beta1, beta2=cfg.optimizer.beta2,
                      eps=cfg.optimizer.eps)
 
-    out_dir = Path(cfg.output_dir)
-    make_dirs(out_dir)
     curves_path = out_dir / "curves.csv"
     last_path = out_dir / "last.ckpt"
     best_path = out_dir / "best.ckpt"
@@ -297,23 +298,23 @@ def train(cfg: RunConfig, verbose: bool = False) -> dict:
 
     records: list[MetricRecord] = []
     best: Optional[dict] = None
-    n_train = len(train_records)
+    n_train = len(train_slices)
 
     for epoch in range(1, cfg.epochs + 1):
         perm = np.random.default_rng([cfg.seed, epoch]).permutation(n_train)
         acc = MetricAccumulator()
         for i in range(0, n_train, cfg.batch_size):
             chunk = perm[i:i + cfg.batch_size]
-            batch = make_batch([train_records[j] for j in chunk])
+            batch = make_batch(train_slices, chunk)
             logits = model(Tensor(batch.images), training=True)
-            loss = _combined_loss(logits, batch.targets, cfg.loss)
+            loss = _combined_loss(logits, batch.labels, cfg.loss)
             model.zero_grad()
             backward(loss)
             optimizer.step()
             acc.update(logits_to_labels(logits.data), batch.labels)
             acc.add_loss(loss.item(), len(chunk))
         train_rec = acc.record(epoch, "train")
-        val_rec = _eval_pass(model, val_records, cfg.loss, cfg.batch_size, epoch, "val")
+        val_rec = _eval_pass(model, val_slices, cfg.loss, cfg.batch_size, epoch, "val")
         records.extend([train_rec, val_rec])
 
         improved = best is None or val_rec.dice > best["dice"]
@@ -353,10 +354,10 @@ def _select_ids(cfg: RunConfig, ids: list[str], split: str) -> list[str]:
     return train_ids if split == "train" else val_ids
 
 
-def _predict_labels(model, records, batch_size) -> np.ndarray:
-    """Eval-mode label maps of `records`, stacked in order."""
+def _predict_labels(model, slices, batch_size) -> np.ndarray:
+    """Eval-mode label maps of `slices`, stacked in order."""
     with no_grad():
-        return np.concatenate([pred for _, _, pred in _eval_batches(model, records, batch_size)])
+        return np.concatenate([pred for _, _, pred in _eval_batches(model, slices, batch_size)])
 
 
 def evaluate(ckpt_path: str, data_root: str, split: str = "val",
@@ -367,8 +368,11 @@ def evaluate(ckpt_path: str, data_root: str, split: str = "val",
     Metrics are computed over the center-cropped field of view the model
     sees, from pixel counts pooled case by case over the predicted and
     reference masks — the same masks that --save-masks writes out. Cases
-    are loaded one at a time, just before each is evaluated.
+    are loaded one at a time, just before each is evaluated. An `out_path`
+    in a missing directory is refused before the checkpoint is read.
     """
+    if out_path:
+        check_output_dir(out_path)
     cfg, model = _load_run(ckpt_path)
     crop = cfg.crop
 
@@ -383,10 +387,10 @@ def evaluate(ckpt_path: str, data_root: str, split: str = "val",
     acc = MetricAccumulator()
     n_slices = 0
     for cid in ids:
-        recs = extract_slices(loaders[cid](), crop, 0.0)
-        case_pred = _predict_labels(model, recs, batch_size)
-        acc.update(case_pred, np.stack([r.label for r in recs]))
-        n_slices += len(recs)
+        slices = extract_slices(loaders[cid](), crop, 0.0)
+        case_pred = _predict_labels(model, slices, batch_size)
+        acc.update(case_pred, slices.labels)
+        n_slices += len(slices)
         if save_masks:
             write_svol(Path(save_masks) / f"{cid}_pred.svol", case_pred)
 
@@ -434,10 +438,14 @@ def predict(ckpt_path: str, in_path: str, out_path: str, batch_size: int = 8) ->
 
     The mask matches the input dims: predictions fill the centered crop
     window and everything outside it stays background. Output is .svol,
-    plus a .nii sibling (same geometry) when the input case was NIfTI.
+    plus a .nii sibling when any modality of the input case was NIfTI; it
+    takes the spacing `load_case` read from the first such modality. An
+    output path that is not .svol, or is in a missing directory, is refused
+    before the checkpoint is read.
     """
     if not str(out_path).endswith(".svol"):
         raise ConfigError(f"predict writes a .svol mask, not {out_path}")
+    check_output_dir(out_path)
     cfg, model = _load_run(ckpt_path)
     crop = cfg.crop
 
@@ -457,7 +465,7 @@ def predict(ckpt_path: str, in_path: str, out_path: str, batch_size: int = 8) ->
     write_svol(out_path, mask)
     written = {"svol": str(out_path)}
 
-    if _find_modality_file(case_dir, case_dir.name, "t1ce").suffix != ".svol":
+    if sample.spacing is not None:
         nii_path = Path(out_path).with_suffix(".nii")
         write_volume(nii_path, mask, sample.spacing)
         written["nii"] = str(nii_path)

@@ -268,6 +268,47 @@ def reference_read_nifti(path):
 
 
 # ---------------------------------------------------------------------------
+# slicing reference: the per-slice loop that the stacked extract_slices replaced
+
+
+def reference_extract_slices(sample, crop, min_foreground_fraction):
+    """A case's kept axial slices as stacked (images [S,3,H,W], labels [S,H,W]).
+
+    Each modality is z-scored over its whole volume's nonzero voxels (a
+    volume without any is copied as it is) and center-cropped; then one
+    slice at a time is kept when its label foreground fraction reaches the
+    threshold, and the kept slices are stacked.
+    """
+    d, h, w = sample.label.shape
+    ch, cw = crop
+    oh, ow = (h - ch) // 2, (w - cw) // 2
+    normed = []
+    for name in ("t1ce", "t2", "flair"):
+        vol = np.asarray(sample.modalities[name], dtype=np.float32)
+        win = vol[:, oh:oh + ch, ow:ow + cw]
+        vals = vol[vol != 0]
+        if vals.size:
+            mu = vals.mean(dtype=np.float64)
+            sigma = max(float(vals.std(dtype=np.float64)), 1e-8)
+            out = np.zeros(win.shape, dtype=np.float32)
+            inside = win != 0
+            out[inside] = ((win[inside] - mu) / sigma).astype(np.float32)
+        else:
+            out = win.copy()
+        normed.append(out)
+    labels = sample.label[:, oh:oh + ch, ow:ow + cw]
+    images, kept = [], []
+    for z in range(d):
+        if int(np.count_nonzero(labels[z])) / (ch * cw) < min_foreground_fraction:
+            continue
+        images.append(np.stack([vol[z] for vol in normed]))
+        kept.append(labels[z])
+    if not kept:
+        return np.zeros((0, 3, ch, cw), dtype=np.float32), np.zeros((0, ch, cw), dtype=np.uint8)
+    return np.stack(images), np.stack(kept)
+
+
+# ---------------------------------------------------------------------------
 # tape memory
 
 

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, end-to-end flows."""
 
 import gzip
+import importlib
 import json
 import os
 import shutil
@@ -346,6 +347,41 @@ class TestUnusablePaths:
         assert "Traceback" not in err
         assert not [*tmp_path.rglob("*.tmp"), *cli_run.rglob("*.tmp")]
         assert (tmp_path / "file").read_bytes() == b"kept"
+
+    # (reader the refused run must not call, refused argv, argv that does call it)
+    @pytest.mark.parametrize("reader,refused,reads", [
+        ("load_data_root",
+         f"train --preset desk --quiet --override data_root={TINY_ROOT} "
+         "--override val_on_train=true --override output_dir={t}/file",
+         "train --preset desk --quiet --override data_root=synth:cases=0 "
+         "--override output_dir={t}/run"),
+        ("load_checkpoint",
+         f"eval --ckpt {{run}}/best.ckpt --data {TINY_ROOT} --out {{t}}/nodir/r.json",
+         f"eval --ckpt {{t}}/none.ckpt --data {TINY_ROOT} --out {{t}}/r.json"),
+        ("load_checkpoint",
+         "predict --ckpt {run}/best.ckpt --in {t}/cases/synth_000 --out {t}/nodir/m.svol",
+         "predict --ckpt {t}/none.ckpt --in {t}/cases/synth_000 --out {t}/m.svol"),
+    ])
+    def test_output_is_refused_before_any_input_is_read(self, cli_run, tmp_path, capsys,
+                                                        monkeypatch, reader, refused, reads):
+        (tmp_path / "file").write_bytes(b"kept")
+        assert run_cli("synth", "--out", str(tmp_path / "cases"), "--cases", "1",
+                       "--dims", "8x64x64") == 0
+        module = importlib.import_module("segforge.train")
+        real, calls = getattr(module, reader), []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, reader, spy)
+        capsys.readouterr()
+        assert run_cli(*(a.format(t=tmp_path, run=cli_run) for a in refused.split())) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert calls == []
+        # the spy sees the reads a run makes when its output is usable
+        assert run_cli(*(a.format(t=tmp_path, run=cli_run) for a in reads.split())) != 0
+        assert len(calls) == 1
 
 
 class TestInstalledEntryPoint:

@@ -25,7 +25,7 @@ from segforge.errors import (ConfigError, ContractError, DataError,
 from segforge.nifti import read_nifti, read_spacing, write_nifti
 from segforge.svol import read_svol, write_svol
 
-from oracles import reference_read_nifti
+from oracles import reference_extract_slices, reference_read_nifti
 
 
 class TestRemapLabels:
@@ -78,31 +78,33 @@ class TestSlicing:
 
     def test_zero_threshold_keeps_every_slice(self):
         sample = synth_case(3, dims=(10, 64, 64))
-        records = extract_slices(sample, crop=(64, 64), min_foreground_fraction=0.0)
-        assert [r.slice_index for r in records] == list(range(10))
-        assert all(r.image.shape == (3, 64, 64) for r in records)
-        assert all(r.case_id == sample.case_id for r in records)
+        slices = extract_slices(sample, crop=(64, 64), min_foreground_fraction=0.0)
+        assert len(slices) == 10
+        assert slices.images.shape == (10, 3, 64, 64) and slices.images.dtype == np.float32
+        assert slices.labels.dtype == np.uint8
+        np.testing.assert_array_equal(slices.labels, sample.label)   # every slice, in depth order
 
     def test_threshold_matches_label_count_oracle(self):
         sample = synth_case(4, dims=(12, 80, 80))
         crop = (64, 64)
         thresh = 0.01
-        records = extract_slices(sample, crop=crop, min_foreground_fraction=thresh)
+        slices = extract_slices(sample, crop=crop, min_foreground_fraction=thresh)
         oh, ow = crop_offsets((80, 80), crop)
         cropped = sample.label[:, oh:oh + 64, ow:ow + 64]
         want = [z for z in range(12)
                 if np.count_nonzero(cropped[z]) / (64 * 64) >= thresh]
-        assert [r.slice_index for r in records] == want
-        assert 0 < len(records) < 12
+        np.testing.assert_array_equal(slices.labels, cropped[want])
+        every = extract_slices(sample, crop=crop, min_foreground_fraction=0.0)
+        assert slices.images.tobytes() == every.images[want].tobytes()
+        assert 0 < len(slices) < 12
 
     def test_slices_are_cropped_normalized_views_of_the_case(self):
         sample = synth_case(5, dims=(10, 80, 80))
-        records = extract_slices(sample, crop=(64, 64), min_foreground_fraction=0.0)
+        slices = extract_slices(sample, crop=(64, 64), min_foreground_fraction=0.0)
         normed = {m: normalize_modality(sample.modalities[m]) for m in MODALITIES}
-        r = records[4]
-        np.testing.assert_array_equal(r.label, sample.label[4, 8:72, 8:72])
+        np.testing.assert_array_equal(slices.labels[4], sample.label[4, 8:72, 8:72])
         for i, m in enumerate(MODALITIES):
-            np.testing.assert_array_equal(r.image[i], normed[m][4, 8:72, 8:72])
+            np.testing.assert_array_equal(slices.images[4, i], normed[m][4, 8:72, 8:72])
 
     def test_window_zscore_is_full_volume_then_crop_bytewise(self):
         sample = synth_case(6, dims=(8, 96, 128))
@@ -111,28 +113,58 @@ class TestSlicing:
         oh, ow = crop_offsets((96, 128), (64, 64))
         want = np.stack([normalize_modality(sample.modalities[m])[:, oh:oh + 64, ow:ow + 64]
                          for m in MODALITIES], axis=1)
-        records = extract_slices(sample, crop=(64, 64), min_foreground_fraction=0.0)
-        got = np.stack([r.image for r in records])
+        got = extract_slices(sample, crop=(64, 64), min_foreground_fraction=0.0).images
         assert got.dtype == want.dtype
         assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
     def test_all_background_case_yields_nothing_above_threshold(self):
         sample = synth_case(0, dims=(8, 64, 64), num_lesions=0)
-        assert extract_slices(sample, crop=(64, 64), min_foreground_fraction=0.001) == []
+        slices = extract_slices(sample, crop=(64, 64), min_foreground_fraction=0.001)
+        assert len(slices) == 0
+        assert slices.images.shape == (0, 3, 64, 64) and slices.labels.shape == (0, 64, 64)
 
-    def test_make_batch_shapes_and_one_hot(self):
+    @staticmethod
+    def _edge_case(name):
+        if name == "all_background":
+            return synth_case(8, dims=(8, 80, 96), num_lesions=0)
+        sample = synth_case(8, dims=(12, 80, 96))
+        if name == "zero_modality":
+            sample.modalities["flair"][:] = 0.0
+        elif name == "negative_zero":
+            sample.modalities["t2"][5, 40, 50] = -0.0    # inside the window, volume has stats
+            sample.modalities["t1ce"][:] = 0.0
+            sample.modalities["t1ce"][2, 30, 40] = -0.0  # and in a volume without any
+        elif name == "float64_modality":
+            sample.modalities["t2"] = sample.modalities["t2"].astype(np.float64) * 1.1
+        return sample
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.001, 0.01])
+    @pytest.mark.parametrize("case", ["lesions", "all_background", "zero_modality",
+                                      "negative_zero", "float64_modality"])
+    def test_matches_per_slice_reference_bytewise(self, case, threshold):
+        sample = self._edge_case(case)
+        want_images, want_labels = reference_extract_slices(sample, (64, 64), threshold)
+        slices = extract_slices(sample, crop=(64, 64), min_foreground_fraction=threshold)
+        for got, want in ((slices.images, want_images), (slices.labels, want_labels)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_make_batch_slices_views_and_gathers_copies(self):
         sample = synth_case(6, dims=(8, 64, 64))
-        records = extract_slices(sample, crop=(64, 64), min_foreground_fraction=0.0)
-        batch = make_batch(records[:5])
+        slices = extract_slices(sample, crop=(64, 64), min_foreground_fraction=0.0)
+        batch = make_batch(slices, slice(0, 5))
         assert batch.images.shape == (5, 3, 64, 64)
-        assert batch.targets.shape == (5, 4, 64, 64)
         assert batch.labels.shape == (5, 64, 64)
-        np.testing.assert_array_equal(batch.targets.sum(axis=1), 1.0)
-        np.testing.assert_array_equal(batch.targets.argmax(axis=1).astype(np.uint8),
-                                      batch.labels)
-        assert batch.source == [(sample.case_id, i) for i in range(5)]
-        with pytest.raises(ContractError):
-            make_batch([])
+        assert len(batch) == 5
+        assert np.shares_memory(batch.images, slices.images)
+        assert np.shares_memory(batch.labels, slices.labels)
+        picked = make_batch(slices, np.array([6, 1, 3]))
+        np.testing.assert_array_equal(picked.images, slices.images[[6, 1, 3]])
+        np.testing.assert_array_equal(picked.labels, slices.labels[[6, 1, 3]])
+        assert not np.shares_memory(picked.images, slices.images)
+        for empty in (slice(8, 12), np.array([], dtype=np.int64)):
+            with pytest.raises(ContractError):
+                make_batch(slices, empty)
 
 
 class TestSplit:

@@ -14,19 +14,20 @@ import segforge.data as data_module
 from segforge.checkpoint import (CheckpointData, apply_arrays, load_checkpoint,
                                  model_arrays, restore_model, save_checkpoint)
 from segforge.data import (MODALITIES, extract_slices, load_data_root,
-                           synth_case, write_case)
+                           synth_case, write_case, write_volume)
 from segforge.errors import (ConfigError, ContractError, DataError,
                              FormatError, NumericError, ShapeError)
 from segforge.layers import BatchNorm2d, Conv2d, Module
-from segforge.metrics import binary_dice
+from segforge.metrics import binary_dice, cross_entropy_loss, one_hot, soft_dice_loss
 from segforge.model import PRESETS, ConfigDocument, build_model
 from segforge.optim import CHUNK, Adam
 from segforge.svol import read_svol
 from segforge.tensor import Tensor, no_grad
-from segforge.train import (CURVES_HEADER, MetricAccumulator, MetricRecord,
-                            PUBLISHED_REFERENCE, RunConfig, apply_overrides,
-                            evaluate, export_curves, format_report, predict,
-                            run_preset, train)
+from segforge.nifti import read_nifti, read_spacing
+from segforge.train import (CURVES_HEADER, LossConfig, MetricAccumulator, MetricRecord,
+                            PUBLISHED_REFERENCE, RunConfig, _combined_loss, _eval_batches,
+                            apply_overrides, evaluate, export_curves, format_report,
+                            predict, run_preset, train)
 
 from oracles import (oracle_accuracy, oracle_dice, oracle_iou,
                      oracle_mean_iou, reference_adam_step)
@@ -675,6 +676,32 @@ class TestTrainLoop:
         late = np.mean(losses[-5:])
         assert late < early
 
+    def test_combined_loss_takes_labels_and_weights_both_terms(self):
+        rng = np.random.default_rng(3)
+        logits = Tensor(rng.standard_normal((2, 4, 8, 8)).astype(np.float32))
+        labels = rng.integers(0, 4, (2, 8, 8)).astype(np.uint8)
+        target = one_hot(labels, 4)
+        got = _combined_loss(logits, labels, LossConfig(dice_weight=0.5, ce_weight=2.0))
+        want = soft_dice_loss(logits, target) * 0.5 + cross_entropy_loss(logits, target) * 2.0
+        assert got.data.tobytes() == want.data.tobytes()
+        dice_only = _combined_loss(logits, labels, LossConfig())
+        assert dice_only.data.tobytes() == soft_dice_loss(logits, target).data.tobytes()
+
+    def test_eval_batches_hand_the_model_views_of_the_slices(self):
+        slices = extract_slices(synth_case(2, dims=(10, 64, 64)), (64, 64), 0.0)
+        seen = []
+
+        def model(x, training):
+            assert not training
+            seen.append(x.data)
+            return Tensor(np.zeros((x.shape[0], 4) + x.shape[2:], dtype=np.float32))
+
+        with no_grad():
+            batches = [batch for batch, _, _ in _eval_batches(model, slices, 4)]
+        assert [len(x) for x in seen] == [4, 4, 2]
+        assert all(np.shares_memory(x, slices.images) for x in seen)
+        assert all(np.shares_memory(b.labels, slices.labels) for b in batches)
+
 
 @pytest.fixture(scope="module")
 def split_run(tmp_path_factory):
@@ -711,8 +738,7 @@ class TestEvaluate:
         preds, trues = [], []
         for cid in sorted(samples):
             preds.append(read_svol(masks / f"{cid}_pred.svol"))
-            recs = extract_slices(samples[cid], cfg.crop, 0.0)
-            trues.append(np.stack([r.label for r in recs]))
+            trues.append(extract_slices(samples[cid], cfg.crop, 0.0).labels)
         pred = np.concatenate(preds)
         true = np.concatenate(trues)
         m = report["metrics"]
@@ -794,6 +820,20 @@ class TestPredict:
         predict(overfit_run["best"], str(tmp_path / "cases" / "clean"), str(out))
         mask = read_svol(out)
         assert float(np.mean(mask == 0)) >= 0.95
+
+    @pytest.mark.parametrize("nifti", ["t1ce", "t2"])
+    def test_mixed_format_case_gets_a_sibling_with_the_nifti_spacing(self, overfit_run,
+                                                                     tmp_path, nifti):
+        case = synth_case([93, 0], dims=(12, 80, 80), case_id="mixed")
+        case_dir = write_case(case, tmp_path / "cases", fmt="svol")
+        (case_dir / f"{nifti}.svol").unlink()
+        nii = case_dir / f"mixed_{nifti}.nii"
+        write_volume(nii, case.modalities[nifti], spacing=(2.0, 1.5, 0.5))
+        out = tmp_path / "mixed.svol"
+        written = predict(overfit_run["best"], str(case_dir), str(out))
+        assert written["nii"] == str(out.with_suffix(".nii"))
+        np.testing.assert_array_equal(read_nifti(written["nii"]), read_svol(out))
+        assert read_spacing(written["nii"]) == read_spacing(nii) == (2.0, 1.5, 0.5)
 
     def test_svol_case_gets_no_nifti_sibling(self, overfit_run, tmp_path):
         case = synth_case([97, 0], dims=(12, 80, 80), case_id="svcase")
