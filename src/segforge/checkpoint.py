@@ -7,13 +7,13 @@ u32 name length, name bytes, u8 dtype code, u8 rank, u32 dims, raw data.
 A model's arrays are named by `model_arrays` alone, as ``param:<path>`` and
 ``buffer:<path>``; the optimizer adds ``adam.m:`` and ``adam.v:`` entries.
 Saves are atomic (temp file + rename), so an interrupted run keeps its last
-intact checkpoint.
+intact checkpoint. Loads decode the file through `errors.read_binary`, each
+tensor read straight into its array, so a load holds no copy of the file.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, open_input, open_output
+from .errors import BinaryReader, ConfigError, FormatError, open_output, read_binary
 from .layers import Module
 from .model import ModelConfig, SegmentationModel
 
@@ -89,76 +89,55 @@ def save_checkpoint(path: str | os.PathLike, config: dict, model: Module,
         fh.write(b"".join(parts))
 
 
+def _read_doc(reader: BinaryReader, what: str) -> dict:
+    """A length-prefixed JSON object, the config or meta document."""
+    (length,) = reader.unpack("<I", f"{what} length")
+    off = reader.offset
+    try:
+        doc = json.loads(reader.take(length, f"{what} document").decode("utf-8"))
+    except ValueError as exc:   # UnicodeDecodeError and JSONDecodeError both are
+        raise FormatError(f"corrupt {what} document at byte {off} in {reader.path}: "
+                          f"{exc}") from None
+    if not isinstance(doc, dict):
+        raise FormatError(f"{what} document at byte {off} is not an object in {reader.path}")
+    return doc
+
+
 def load_checkpoint(path: str | os.PathLike) -> CheckpointData:
     """Parse a checkpoint; a truncated or corrupt file raises FormatError with its byte offset."""
-    with open_input(path, "checkpoint") as fh:
-        blob = fh.read()
-    if len(blob) < len(MAGIC) + 4 or blob[:len(MAGIC)] != MAGIC:
-        raise FormatError(f"not a checkpoint file: {path}")
-
-    def unpack(fmt, off, what):
-        size = struct.calcsize(fmt)
-        if off + size > len(blob):
-            raise FormatError(f"truncated checkpoint: {what} at byte {off} needs {size} bytes, "
-                              f"file ends at {len(blob)} in {path}")
-        return struct.unpack_from(fmt, blob, off), off + size
-
-    def take_doc(off, what):
-        (length,), off = unpack("<I", off, f"{what} length")
-        if off + length > len(blob):
-            raise FormatError(f"truncated {what} document at byte {off} in {path}")
-        try:
-            doc = json.loads(blob[off:off + length].decode("utf-8"))
-        except ValueError as exc:   # UnicodeDecodeError and JSONDecodeError both are
-            raise FormatError(f"corrupt {what} document at byte {off} in {path}: {exc}") from None
-        if not isinstance(doc, dict):
-            raise FormatError(f"{what} document at byte {off} is not an object in {path}")
-        return doc, off + length
-
-    (version,), off = unpack("<I", len(MAGIC), "version")
-    if version != VERSION:
-        raise FormatError(f"unsupported checkpoint version {version} at byte {len(MAGIC)} "
-                          f"in {path}")
-    config, off = take_doc(off, "config")
-    meta_off = off
-    meta, off = take_doc(off, "meta")
-    try:
-        epoch, optimizer_step = int(meta["epoch"]), int(meta["optimizer_step"])
-    except (KeyError, TypeError, ValueError):
-        raise FormatError(f"meta document at byte {meta_off} lacks an integer epoch "
-                          f"and optimizer_step in {path}") from None
-    (count,), off = unpack("<I", off, "tensor count")
-
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        entry = off
-        (name_len,), off = unpack("<I", off, "tensor name length")
-        if off + name_len > len(blob):
-            raise FormatError(f"truncated tensor name at byte {off} in {path}")
-        try:
-            name = blob[off:off + name_len].decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError(f"corrupt tensor name at byte {off} in {path}") from None
-        off += name_len
-        (code, rank), off = unpack("<BB", off, f"dtype and rank of '{name}'")
-        dtype = _DTYPE_CODES.get(code)
-        if dtype is None:
-            raise FormatError(f"unknown dtype code {code} for '{name}' at byte {off - 2} "
+    with read_binary(path, "checkpoint") as reader:
+        if reader.take(len(MAGIC), "magic") != MAGIC:
+            raise FormatError(f"not a checkpoint file: {path}")
+        (version,) = reader.unpack("<I", "version")
+        if version != VERSION:
+            raise FormatError(f"unsupported checkpoint version {version} at byte {len(MAGIC)} "
                               f"in {path}")
-        dims, off = unpack(f"<{rank}I", off, f"dims of '{name}'")
-        n = math.prod(dims)
-        end = off + n * dtype.itemsize
-        if end > len(blob):
-            raise FormatError(f"truncated tensor '{name}' (entry at byte {entry}) in {path}")
+        config = _read_doc(reader, "config")
+        meta_off = reader.offset
+        meta = _read_doc(reader, "meta")
         try:
-            arr = np.frombuffer(blob, dtype=dtype, count=n, offset=off).reshape(dims)
-        except ValueError:   # more dims than numpy allows, or a size-0 overflowing shape
-            raise FormatError(f"bad shape {dims} of '{name}' (entry at byte {entry}) "
-                              f"in {path}") from None
-        arrays[name] = arr.astype(dtype.newbyteorder("="), copy=True)
-        off = end
-    if off != len(blob):
-        raise FormatError(f"{len(blob) - off} trailing bytes at byte {off} in {path}")
+            epoch, optimizer_step = int(meta["epoch"]), int(meta["optimizer_step"])
+        except (KeyError, TypeError, ValueError):
+            raise FormatError(f"meta document at byte {meta_off} lacks an integer epoch "
+                              f"and optimizer_step in {path}") from None
+        (count,) = reader.unpack("<I", "tensor count")
+
+        arrays: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = reader.unpack("<I", "tensor name length")
+            try:
+                name = reader.take(name_len, "tensor name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(f"corrupt tensor name at byte {reader.offset - name_len} "
+                                  f"in {path}") from None
+            code, rank = reader.unpack("<BB", f"dtype and rank of '{name}'")
+            dtype = _DTYPE_CODES.get(code)
+            if dtype is None:
+                raise FormatError(f"unknown dtype code {code} for '{name}' at byte "
+                                  f"{reader.offset - 2} in {path}")
+            dims = reader.unpack(f"<{rank}I", f"dims of '{name}'")
+            arrays[name] = reader.array(dtype, dims, f"tensor '{name}'")
+        reader.drain()
 
     return CheckpointData(config=config, arrays=arrays, epoch=epoch,
                           best=meta.get("best"), optimizer_step=optimizer_step)

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .data import SynthSpec, read_volume, synth_dataset, write_case, write_volume
+from .data import parse_synth_uri, read_volume, synth_dataset, write_case, write_volume
 from .errors import ConfigError, DataError, SegforgeError
 from .train import (RunConfig, apply_overrides, evaluate, format_report,
                     predict, run_preset, train)
@@ -102,13 +102,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    try:
-        dims = tuple(int(v) for v in args.dims.split("x"))
-    except ValueError:
-        raise ConfigError(f"bad --dims '{args.dims}' (expected DxHxW)") from None
-    if len(dims) != 3:
-        raise ConfigError(f"bad --dims '{args.dims}' (expected DxHxW)")
-    spec = SynthSpec(cases=args.cases, seed=args.seed, dims=dims, lesions=args.lesions)
+    spec = parse_synth_uri(f"synth:cases={args.cases},seed={args.seed},"
+                           f"dims={args.dims},lesions={args.lesions}")
     for sample in synth_dataset(spec):
         case_dir = write_case(sample, args.out, fmt=args.format)
         print(f"wrote case {sample.case_id} -> {case_dir}")

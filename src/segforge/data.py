@@ -108,13 +108,13 @@ def normalize_modality(volume: np.ndarray) -> np.ndarray:
 
 
 def crop_offsets(shape_hw: tuple[int, int], crop: tuple[int, int]) -> tuple[int, int]:
-    """Top-left corner of a centered crop window."""
+    """Top-left corner of a centered crop window; a plane smaller than it is a DataError."""
     h, w = shape_hw
     ch, cw = crop
     if ch % 32 or cw % 32:
         raise ConfigError(f"crop dims must be divisible by 32, got {crop}")
     if ch > h or cw > w:
-        raise ConfigError(f"crop {crop} larger than volume plane {h}x{w}")
+        raise DataError(f"volume planes {h}x{w} are smaller than the crop {crop}")
     return (h - ch) // 2, (w - cw) // 2
 
 
@@ -434,6 +434,10 @@ def _synth_loaders(spec: SynthSpec) -> dict[str, Callable[[], VolumeSample]]:
     """A synth spec's case ids, each with the call that generates that case."""
     if spec.cases < 1:
         raise ConfigError(f"synth dataset needs at least 1 case, got {spec.cases}")
+    if any(d < m for d, m in zip(spec.dims, SYNTH_MIN_DIMS)):
+        raise ConfigError(f"synth dims must be >= {SYNTH_MIN_DIMS}, got {spec.dims}")
+    if spec.lesions < 0:
+        raise ConfigError(f"synth lesions must be >= 0, got {spec.lesions}")
     return {f"synth_{i:03d}": functools.partial(
                 synth_case, seed=[spec.seed, i], dims=spec.dims, num_lesions=spec.lesions,
                 case_id=f"synth_{i:03d}")

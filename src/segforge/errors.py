@@ -10,11 +10,22 @@ caller's to judge, so a corrupt gzip stream stays a FormatError. Every
 output path is the caller's choice (--out, --save-masks, output_dir), so
 one that cannot be written is a ConfigError. Outputs are renamed over
 their path only when complete, so a failed write leaves the old file.
+
+A `BinaryReader` from `read_binary` decodes every binary file; a format
+module keeps only its layout. Each read is bounded by the file's size before
+anything is allocated, a short one is a FormatError naming the byte offset,
+and payloads are read straight into their arrays, never via a second copy.
 """
 
 import contextlib
+import gzip
+import math
 import os
+import struct
+import zlib
 from pathlib import Path
+
+import numpy as np
 
 
 class SegforgeError(Exception):
@@ -51,6 +62,91 @@ def open_input(path, what: str):
         return open(path, "rb")
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+
+
+PIECE = 1 << 20           # bytes per read of a payload into its array
+DEFLATE_MAX_RATIO = 1032  # deflate inflates its input at most 1032-fold
+
+
+class BinaryReader:
+    """A stream read front to back from `offset`; each read is first checked against `limit`."""
+
+    def __init__(self, fh, path, limit: int):
+        self._fh = fh
+        self.path = path
+        self.limit = limit
+        self.offset = 0
+
+    def _truncated(self, field: str, start: int, nbytes: int, got=None) -> FormatError:
+        end = f"{self.limit} at the latest" if got is None else start + got
+        return FormatError(f"truncated {field} from byte {start} in {self.path}: "
+                           f"{field} size {nbytes} bytes, the data ends at byte {end}")
+
+    def take(self, nbytes: int, field: str) -> bytes:
+        """The next `nbytes` bytes, which hold `field`."""
+        if self.offset + nbytes > self.limit:
+            raise self._truncated(field, self.offset, nbytes)
+        data = self._fh.read(nbytes)
+        if len(data) < nbytes:
+            raise self._truncated(field, self.offset, nbytes, len(data))
+        self.offset += nbytes
+        return data
+
+    def unpack(self, fmt: str, field: str) -> tuple:
+        """The next fields `fmt` describes, as `struct.unpack` gives them."""
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), field))
+
+    def array(self, dtype: np.dtype, dims, field: str, at=None) -> np.ndarray:
+        """The C-order `dtype` array of `dims` next, or from byte `at`, as a native array."""
+        start = self.offset if at is None else at
+        nbytes = math.prod(dims) * dtype.itemsize
+        if start + nbytes > self.limit:
+            raise self._truncated(field, start, nbytes)
+        try:
+            arr = np.empty(dims, dtype=dtype.newbyteorder("="))
+        except ValueError:   # more dims than numpy allows, or a size-0 shape that overflows
+            raise FormatError(f"bad shape {list(dims)} of {field} at byte {start} "
+                              f"in {self.path}") from None
+        if at is not None:
+            self._fh.seek(at)
+        out = arr.reshape(-1).view(np.uint8)
+        done = 0
+        while done < nbytes:
+            n = self._fh.readinto(out[done:done + PIECE])
+            if not n:
+                raise self._truncated(field, start, nbytes, done)
+            done += n
+        self.offset = start + nbytes
+        if not dtype.isnative:
+            arr.byteswap(inplace=True)
+        return arr
+
+    def drain(self, trailing_ok: bool = False) -> None:
+        """Read to the end, so gzip checks its CRC; bytes left are an error unless trailing_ok."""
+        left = 0
+        while chunk := self._fh.read(PIECE):   # counted, not kept
+            left += len(chunk)
+        if left and not trailing_ok:
+            raise FormatError(f"{left} trailing bytes at byte {self.offset} in {self.path}")
+
+
+@contextlib.contextmanager
+def read_binary(path, what: str):
+    """A BinaryReader over `path`, gunzipped for `.gz`, bounded by the file's size.
+
+    A file that cannot be opened is a DataError naming `what`; a truncated or
+    corrupt gzip stream, wherever a read meets it, is a FormatError.
+    """
+    try:
+        with open_input(path, what) as raw:
+            size = os.fstat(raw.fileno()).st_size
+            if str(path).endswith(".gz"):
+                with gzip.GzipFile(fileobj=raw, mode="rb") as fh:
+                    yield BinaryReader(fh, path, size * DEFLATE_MAX_RATIO)
+            else:
+                yield BinaryReader(raw, path, size)
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise FormatError(f"corrupt gzip stream in {path}: {exc}") from None
 
 
 @contextlib.contextmanager

@@ -6,29 +6,25 @@ scaling pair. Byte order is detected from sizeof_hdr. Volumes come back as
 ``[D, H, W]`` arrays (slowest axis first), matching the on-disk x-fastest
 ordering read in C order.
 
-`read_nifti` checks the whole header and bounds the payload by the file's
-size before it allocates the result, then reads the payload straight into
-that array, PIECE bytes at a time, and swaps bytes in place when the file
-is big-endian. No copy of the whole file is ever held.
+`read_nifti` checks the whole header, then reads the payload through
+`errors.read_binary`, which bounds it by the file's size before it
+allocates the result and reads it straight into that array. No copy of the
+whole file is ever held.
 """
 
 from __future__ import annotations
 
-import contextlib
 import gzip
 import math
 import os
 import struct
-import zlib
 
 import numpy as np
 
-from .errors import FormatError, open_input, open_output
+from .errors import BinaryReader, FormatError, open_output, read_binary
 
 HEADER_SIZE = 348
 MAGIC_SINGLE = b"n+1\x00"
-PIECE = 1 << 20           # bytes per read of a payload into its array
-DEFLATE_MAX_RATIO = 1032  # deflate inflates its input at most 1032-fold
 
 # NIfTI datatype code -> numpy dtype (endianness applied at read time)
 _DATATYPES = {
@@ -40,47 +36,13 @@ _DATATYPES = {
 _CODE_FOR_DTYPE = {dt: code for code, dt in _DATATYPES.items()}
 
 
-@contextlib.contextmanager
-def _open_volume(path):
-    """The file open for reading, gunzipped for `.gz`, and a bound on the bytes it yields.
-
-    The bound is the file size, or for gzip deflate's 1032:1 ceiling times the
-    compressed size. A file that cannot be opened is a DataError; a truncated
-    or corrupt gzip stream, wherever a read meets it, is a FormatError naming
-    the file.
-    """
-    try:
-        with open_input(path, "volume") as raw:
-            size = os.fstat(raw.fileno()).st_size
-            if str(path).endswith(".gz"):
-                with gzip.GzipFile(fileobj=raw, mode="rb") as fh:
-                    yield fh, size * DEFLATE_MAX_RATIO
-            else:
-                yield raw, size
-    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
-        raise FormatError(f"corrupt gzip stream in {path}: {exc}") from None
-
-
-def _byte_order(blob: bytes, path) -> str:
-    """The header's byte order, told by which one reads sizeof_hdr as 348."""
-    if len(blob) < HEADER_SIZE:
-        raise FormatError(f"file too small for a NIfTI-1 header "
-                          f"({len(blob)} < {HEADER_SIZE} bytes): {path}")
+def _read_header(reader: BinaryReader) -> tuple[bytes, str]:
+    """The header and its byte order, told by which one reads sizeof_hdr as 348."""
+    blob = reader.take(HEADER_SIZE, "header")
     for bo in "<>":
         if struct.unpack_from(bo + "i", blob, 0)[0] == HEADER_SIZE:
-            return bo
-    raise FormatError(f"bad sizeof_hdr at byte 0, not a NIfTI-1 file: {path}")
-
-
-def _read_into(fh, out: memoryview) -> int:
-    """Fill `out` from `fh` in PIECE-byte reads; the count read, short only at the end."""
-    done = 0
-    while done < len(out):
-        n = fh.readinto(out[done:done + PIECE])
-        if not n:
-            break
-        done += n
-    return done
+            return blob, bo
+    raise FormatError(f"bad sizeof_hdr at byte 0, not a NIfTI-1 file: {reader.path}")
 
 
 def read_nifti(path: str | os.PathLike) -> np.ndarray:
@@ -88,11 +50,10 @@ def read_nifti(path: str | os.PathLike) -> np.ndarray:
 
     The header is checked before the result is allocated, and the payload is
     read straight into it. The stream is read to its end, so gzip checks its
-    CRC and length.
+    CRC and length; bytes after the payload are allowed.
     """
-    with _open_volume(path) as (fh, limit):
-        blob = fh.read(HEADER_SIZE)
-        bo = _byte_order(blob, path)
+    with read_binary(path, "volume") as reader:
+        blob, bo = _read_header(reader)
 
         dim = struct.unpack_from(bo + "8h", blob, 40)
         (datatype,) = struct.unpack_from(bo + "h", blob, 70)
@@ -129,22 +90,11 @@ def read_nifti(path: str | os.PathLike) -> np.ndarray:
         offset = int(vox_offset)
         if offset < HEADER_SIZE:
             raise FormatError(f"vox_offset {vox_offset} at byte 108 overlaps the header in {path}")
-        need = offset + nx * ny * nz * base.itemsize
-        if need > limit:
-            raise FormatError(f"truncated payload from byte {offset} in {path}: "
-                              f"need {need} bytes, the file holds at most {limit}")
 
         # x varies fastest on disk, so C order gives [z, y, x] = [D, H, W]
-        vol = np.empty((nz, ny, nx), dtype=base)
-        fh.seek(offset)
-        if _read_into(fh, memoryview(vol).cast("B")) < vol.nbytes:
-            raise FormatError(f"truncated payload from byte {offset} in {path}: "
-                              f"need {need} bytes, have {fh.tell()}")
-        while fh.read(PIECE):
-            pass
+        vol = reader.array(base.newbyteorder(bo), (nz, ny, nx), "payload", at=offset)
+        reader.drain(trailing_ok=True)
 
-    if base.newbyteorder(bo) != base:
-        vol.byteswap(inplace=True)
     if scl_slope != 0.0 and (scl_slope != 1.0 or scl_inter != 0.0):
         if not (math.isfinite(scl_slope) and math.isfinite(scl_inter)):
             raise FormatError(f"non-finite scl_slope/scl_inter at byte 112 in {path}")
@@ -159,9 +109,9 @@ def read_nifti(path: str | os.PathLike) -> np.ndarray:
 
 def read_spacing(path: str | os.PathLike) -> tuple[float, float, float]:
     """Voxel spacing in [D, H, W] order (pixdim 3, 2, 1) from the header alone."""
-    with _open_volume(path) as (fh, _):
-        blob = fh.read(HEADER_SIZE)
-    pixdim = struct.unpack_from(_byte_order(blob, path) + "8f", blob, 76)
+    with read_binary(path, "volume") as reader:
+        blob, bo = _read_header(reader)
+    pixdim = struct.unpack_from(bo + "8f", blob, 76)
     return float(pixdim[3]), float(pixdim[2]), float(pixdim[1])
 
 

@@ -34,15 +34,20 @@ from .tensor import Tensor
 CHUNK = 32768
 
 
+def check_settings(lr: float, beta1: float, beta2: float, eps: float) -> None:
+    """The rule Adam's settings must meet; a ConfigError names the one broken."""
+    if not (math.isfinite(lr) and lr > 0):
+        raise ConfigError(f"learning rate must be positive and finite, got {lr}")
+    if not math.isfinite(eps):
+        raise ConfigError(f"eps must be finite, got {eps}")
+    if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
+        raise ConfigError(f"betas must be in [0, 1), got {beta1}, {beta2}")
+
+
 class Adam:
     def __init__(self, named_params, lr: float = 1e-4, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        if not (math.isfinite(lr) and lr > 0):
-            raise ConfigError(f"learning rate must be positive and finite, got {lr}")
-        if not math.isfinite(eps):
-            raise ConfigError(f"eps must be finite, got {eps}")
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ConfigError(f"betas must be in [0, 1), got {beta1}, {beta2}")
+        check_settings(lr, beta1, beta2, eps)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2

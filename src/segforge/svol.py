@@ -2,17 +2,18 @@
 
 Layout: 8-byte magic ``SVOL0001``, uint32 rank, uint32 dims[rank], uint8
 dtype code (0=float32, 1=uint8, 2=int16), then the raw C-order payload.
+`read_svol` decodes it through `errors.read_binary`, so every fault names
+its byte offset and the payload is read straight into the result.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 
 import numpy as np
 
-from .errors import FormatError, open_input, open_output
+from .errors import FormatError, open_output, read_binary
 
 MAGIC = b"SVOL0001"
 
@@ -46,27 +47,18 @@ def write_svol(path: str | os.PathLike, array: np.ndarray) -> None:
 
 
 def read_svol(path: str | os.PathLike) -> np.ndarray:
-    with open_input(path, "volume") as fh:
-        blob = fh.read()
-    if len(blob) < len(MAGIC) + 4 or blob[:len(MAGIC)] != MAGIC:
-        raise FormatError(f"not a svol file: {path}")
-    off = len(MAGIC)
-    (rank,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    if rank < 1 or rank > MAX_RANK:
-        raise FormatError(f"svol rank {rank} out of range in {path}")
-    if len(blob) < off + 4 * rank + 1:
-        raise FormatError(f"truncated svol header in {path}")
-    dims = struct.unpack_from(f"<{rank}I", blob, off)
-    off += 4 * rank
-    (code,) = struct.unpack_from("<B", blob, off)
-    off += 1
-    dtype = _DTYPE_CODES.get(code)
-    if dtype is None:
-        raise FormatError(f"unknown svol dtype code {code} in {path}")
-    count = math.prod(dims)
-    expected = off + count * dtype.itemsize
-    if len(blob) != expected:
-        raise FormatError(f"svol payload size mismatch in {path}: "
-                          f"expected {expected} bytes, file has {len(blob)}")
-    return np.frombuffer(blob, dtype=dtype, count=count, offset=off).reshape(dims).copy()
+    with read_binary(path, "volume") as reader:
+        if reader.take(len(MAGIC), "magic") != MAGIC:
+            raise FormatError(f"not a svol file: {path}")
+        (rank,) = reader.unpack("<I", "rank")
+        if rank < 1 or rank > MAX_RANK:
+            raise FormatError(f"svol rank {rank} at byte {len(MAGIC)} out of range in {path}")
+        dims = reader.unpack(f"<{rank}I", "dims")
+        (code,) = reader.unpack("<B", "dtype code")
+        dtype = _DTYPE_CODES.get(code)
+        if dtype is None:
+            raise FormatError(f"unknown svol dtype code {code} at byte {reader.offset - 1} "
+                              f"in {path}")
+        arr = reader.array(dtype, dims, "payload")
+        reader.drain()
+    return arr

@@ -21,15 +21,15 @@ from typing import Optional
 import numpy as np
 
 from .checkpoint import load_checkpoint, restore_model, save_checkpoint
-from .data import (DEFAULT_CROP, MIN_FOREGROUND_DEFAULT, NUM_CLASSES, TRAIN_FRACTION,
-                   SliceBatch, case_loaders, crop_offsets, extract_slices, load_case,
-                   load_data_root, make_batch, split_dataset, write_volume)
+from .data import (DEFAULT_CROP, MIN_FOREGROUND_DEFAULT, MODALITIES, NUM_CLASSES,
+                   TRAIN_FRACTION, SliceBatch, case_loaders, crop_offsets, extract_slices,
+                   load_case, load_data_root, make_batch, split_dataset, write_volume)
 from .errors import (ConfigError, DataError, check_output_dir, make_dirs, open_input,
                      open_output)
 from .metrics import (_confusion_matrix, _confusion_scores, cross_entropy_loss,
                       logits_to_labels, one_hot, soft_dice_loss)
 from .model import ConfigDocument, ModelConfig, PRESETS, SegmentationModel, build_model
-from .optim import Adam
+from .optim import Adam, check_settings
 from .svol import write_svol
 from .tensor import Tensor, backward, no_grad
 
@@ -96,8 +96,12 @@ class RunConfig(ConfigDocument):
                 raise ConfigError(f"{key} must be finite, got {value}")
         if self.optimizer.kind != "adam":
             raise ConfigError(f"unknown optimizer kind '{self.optimizer.kind}'")
-        if self.optimizer.lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.optimizer.lr}")
+        check_settings(self.optimizer.lr, self.optimizer.beta1, self.optimizer.beta2,
+                       self.optimizer.eps)
+        model = self.model
+        if (model.in_channels, model.num_classes) != (len(MODALITIES), NUM_CLASSES):
+            raise ConfigError(f"model.in_channels and num_classes must be {len(MODALITIES)} "
+                              f"and {NUM_CLASSES}, got {model.in_channels} and {model.num_classes}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -338,8 +342,10 @@ def train(cfg: RunConfig, verbose: bool = False) -> dict:
 # evaluation / prediction
 
 
-def _load_run(ckpt_path) -> tuple[RunConfig, SegmentationModel]:
-    """A checkpoint's run config, type-checked, and its restored model."""
+def _load_run(ckpt_path, batch_size: int) -> tuple[RunConfig, SegmentationModel]:
+    """A checkpoint's run config, type-checked, and its restored model; checks batch_size first."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     ckpt = load_checkpoint(ckpt_path)
     cfg = RunConfig.from_dict(ckpt.config)
     return cfg, restore_model(ckpt)
@@ -368,12 +374,13 @@ def evaluate(ckpt_path: str, data_root: str, split: str = "val",
     Metrics are computed over the center-cropped field of view the model
     sees, from pixel counts pooled case by case over the predicted and
     reference masks — the same masks that --save-masks writes out. Cases
-    are loaded one at a time, just before each is evaluated. An `out_path`
-    in a missing directory is refused before the checkpoint is read.
+    are loaded one at a time, just before each is evaluated. A batch size
+    below 1, or an `out_path` in a missing directory, is refused before the
+    checkpoint is read.
     """
     if out_path:
         check_output_dir(out_path)
-    cfg, model = _load_run(ckpt_path)
+    cfg, model = _load_run(ckpt_path, batch_size)
     crop = cfg.crop
 
     loaders = case_loaders(data_root)
@@ -439,14 +446,14 @@ def predict(ckpt_path: str, in_path: str, out_path: str, batch_size: int = 8) ->
     The mask matches the input dims: predictions fill the centered crop
     window and everything outside it stays background. Output is .svol,
     plus a .nii sibling when any modality of the input case was NIfTI; it
-    takes the spacing `load_case` read from the first such modality. An
-    output path that is not .svol, or is in a missing directory, is refused
-    before the checkpoint is read.
+    takes the spacing `load_case` read from the first such modality. A
+    batch size below 1, or an output path that is not .svol or is in a
+    missing directory, is refused before the checkpoint is read.
     """
     if not str(out_path).endswith(".svol"):
         raise ConfigError(f"predict writes a .svol mask, not {out_path}")
     check_output_dir(out_path)
-    cfg, model = _load_run(ckpt_path)
+    cfg, model = _load_run(ckpt_path, batch_size)
     crop = cfg.crop
 
     case_dir = Path(in_path)
@@ -454,8 +461,6 @@ def predict(ckpt_path: str, in_path: str, out_path: str, batch_size: int = 8) ->
         raise DataError(f"case directory not found: {in_path}")
     sample = load_case(case_dir.parent, case_dir.name, require_seg=False)
     d, h, w = sample.dims
-    if crop[0] > h or crop[1] > w:
-        raise DataError(f"case planes {h}x{w} smaller than model crop {crop}")
     oh, ow = crop_offsets((h, w), crop)
 
     cropped = _predict_labels(model, extract_slices(sample, crop, 0.0), batch_size)

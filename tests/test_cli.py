@@ -18,6 +18,7 @@ import segforge
 from segforge import __version__
 from segforge.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from segforge.cli import main
+from segforge.data import MODALITIES, VolumeSample, write_case
 from segforge.nifti import read_nifti
 from segforge.svol import read_svol, write_svol
 
@@ -223,6 +224,32 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: crop ")
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_batch_size_below_one_is_refused_before_reading(self, cli_run, tmp_path, capsys,
+                                                           monkeypatch, command, size):
+        calls = []
+        monkeypatch.setattr(importlib.import_module("segforge.train"), "load_checkpoint",
+                            lambda *args: calls.append(args))
+        where = (["--data", TINY_ROOT, "--out", str(tmp_path / "r.json")] if command == "eval"
+                 else ["--in", str(tmp_path / "case"), "--out", str(tmp_path / "m.svol")])
+        assert run_cli(command, "--ckpt", str(cli_run / "best.ckpt"), *where,
+                       "--batch-size", size) == 2
+        assert capsys.readouterr().err.startswith("config error: batch_size must be >= 1")
+        assert calls == []
+
+    def test_case_smaller_than_the_crop_is_data_error(self, cli_run, tmp_path, capsys):
+        vol = np.ones((4, 32, 32), dtype=np.float32)
+        write_case(VolumeSample(modalities=dict.fromkeys(MODALITIES, vol),
+                                label=np.zeros((4, 32, 32), dtype=np.uint8), case_id="small"),
+                   tmp_path / "cases")
+        for argv in (["eval", "--data", str(tmp_path / "cases"), "--split", "all",
+                      "--out", str(tmp_path / "r.json")],
+                     ["predict", "--in", str(tmp_path / "cases" / "small"),
+                      "--out", str(tmp_path / "m.svol")]):
+            assert run_cli(*argv, "--ckpt", str(cli_run / "best.ckpt")) == 3
+            assert "smaller than the crop" in capsys.readouterr().err
+
 
 class TestPredictCommand:
     def test_predict_case_directory(self, cli_run, tmp_path, capsys):
@@ -271,9 +298,17 @@ class TestSynthCommand:
         assert run_cli("synth", "--out", str(tmp_path), "--dims", "8x64") == 2
         assert run_cli("synth", "--out", str(tmp_path), "--dims", "axbxc") == 2
 
-    def test_too_small_dims_is_runtime_error(self, tmp_path):
-        # ContractError is neither config nor data, so it maps to exit 4
-        assert run_cli("synth", "--out", str(tmp_path), "--dims", "2x64x64") == 4
+    @pytest.mark.parametrize("argv", [
+        "synth --out {t}/s --dims 2x64x64",
+        "synth --out {t}/s --dims 4x4x4",
+        "synth --out {t}/s --lesions -1",
+        "train --preset desk --quiet --override data_root=synth:dims=4x4x4 "
+        "--override output_dir={t}/run",
+    ], ids=["dims_2x64x64", "dims_4x4x4", "lesions_-1", "train_synth_uri"])
+    def test_bad_synth_values_are_config_errors(self, tmp_path, capsys, argv):
+        assert run_cli(*argv.format(t=tmp_path).split()) == 2
+        assert capsys.readouterr().err.startswith("config error: synth ")
+        assert not (tmp_path / "s").exists()
 
 
 class TestConvertCommand:

@@ -6,14 +6,16 @@ import gzip
 import re
 import struct
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import segforge
-import segforge.nifti as nifti_module
+import segforge.errors as errors_module
 
+from segforge.checkpoint import load_checkpoint, save_checkpoint
 from segforge.data import (DEFAULT_CROP, MODALITIES, SynthSpec, VolumeSample,
                            crop_offsets, extract_slices, list_cases, load_case,
                            load_data_root, make_batch, normalize_modality,
@@ -22,8 +24,10 @@ from segforge.data import (DEFAULT_CROP, MODALITIES, SynthSpec, VolumeSample,
                            synth_lesion_geometry, write_case, write_volume)
 from segforge.errors import (ConfigError, ContractError, DataError,
                              FormatError, open_output)
+from segforge.layers import Module
 from segforge.nifti import read_nifti, read_spacing, write_nifti
 from segforge.svol import read_svol, write_svol
+from segforge.tensor import Tensor
 
 from oracles import reference_extract_slices, reference_read_nifti
 
@@ -73,7 +77,7 @@ class TestSlicing:
         assert crop_offsets((64, 64), (64, 64)) == (0, 0)
         with pytest.raises(ConfigError):
             crop_offsets((80, 80), (60, 64))
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError, match="smaller than the crop"):   # the case does not fit
             crop_offsets((60, 60), (64, 64))
 
     def test_zero_threshold_keeps_every_slice(self):
@@ -286,8 +290,9 @@ class TestSynthSpecAndRoots:
         for a, b in zip(cases, again):
             np.testing.assert_array_equal(a.label, b.label)
         assert not np.array_equal(cases[0].label, cases[1].label)
-        with pytest.raises(ConfigError):
-            synth_dataset(SynthSpec(cases=0))
+        for bad in (SynthSpec(cases=0), SynthSpec(dims=(4, 4, 4)), SynthSpec(lesions=-1)):
+            with pytest.raises(ConfigError):
+                synth_dataset(bad)
 
     def test_load_data_root_synth_uri(self):
         cases = load_data_root("synth:cases=2,seed=1,dims=8x64x64")
@@ -353,6 +358,9 @@ class TestSvolContainer:
         good = b"SVOL0001" + struct.pack("<I", 1) + struct.pack("<I", 2) + struct.pack("<B", 1)
         path.write_bytes(good + b"\x00")  # one byte short of two u1 values
         with pytest.raises(FormatError):
+            read_svol(path)
+        path.write_bytes(good + b"\x00" * 3)  # one byte past them
+        with pytest.raises(FormatError, match="1 trailing bytes at byte 19"):
             read_svol(path)
         # rank 4, dims 65536^4, no payload: 2^64 elements, which wraps to 0 in int64
         path.write_bytes(b"SVOL0001" + struct.pack("<5I", 4, *[65536] * 4) + b"\x01")
@@ -515,6 +523,8 @@ class TestHostileVolumeFiles:
                     outcomes["read"] += 1
                 except DataError as exc:    # FormatError included; anything else fails
                     outcomes[type(exc).__name__] += 1
+                    if read is read_svol:
+                        assert re.search(r"byte \d+|not a svol file", str(exc)), str(exc)
         assert set(outcomes) == {"read", "FormatError"}
         # read_nifti rejects every truncation, since each one cuts the payload
         assert outcomes["FormatError"] >= len(blob)
@@ -592,7 +602,7 @@ class TestStreamingNiftiReader:
     @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
     def test_matches_whole_blob_reader(self, tmp_path, monkeypatch, suffix, piece):
         if piece is not None:
-            monkeypatch.setattr(nifti_module, "PIECE", piece)
+            monkeypatch.setattr(errors_module, "PIECE", piece)
         for name, blob in _stream_fixtures().items():
             path = tmp_path / (name + suffix)
             path.write_bytes(_gzip_members(blob) if suffix == ".nii.gz" else blob)
@@ -799,7 +809,7 @@ def _writes_files(call: ast.Call) -> bool:
 
 
 class TestFilePolicy:
-    """Files are opened, written and made only through the helpers in errors.py."""
+    """Files are opened, read, written and made only through the helpers in errors.py."""
 
     def test_failed_block_keeps_the_old_file_and_no_temp(self, tmp_path):
         target = tmp_path / "out.bin"
@@ -821,12 +831,41 @@ class TestFilePolicy:
         assert blob[3] & 0x08                                 # FNAME flag
         assert blob[10:blob.index(b"\0", 10)] == b"x.nii"
 
-    def test_only_errors_py_writes_files(self):
+    @staticmethod
+    def _calls_outside_errors_py(matches) -> list[str]:
         src = Path(segforge.__file__).parent
-        offenders = [f"{path.name}:{node.lineno}"
-                     for path in sorted(src.glob("*.py")) if path.name != "errors.py"
-                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-                     if isinstance(node, ast.Call) and _writes_files(node)]
-        assert offenders == []
+        return [f"{path.name}:{node.lineno}"
+                for path in sorted(src.glob("*.py")) if path.name != "errors.py"
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Call) and matches(node)]
+
+    def test_only_errors_py_writes_files(self):
+        assert self._calls_outside_errors_py(_writes_files) == []
         assert _writes_files(ast.parse("open(p, 'wb')").body[0].value)
         assert not _writes_files(ast.parse("open(p, 'rb')").body[0].value)
+
+    def test_only_errors_py_reads_files(self):
+        def reads(call):
+            return isinstance(call.func, ast.Attribute) and call.func.attr in ("read", "readinto")
+
+        assert self._calls_outside_errors_py(reads) == []
+
+    def test_reads_hold_no_second_copy(self, tmp_path):
+        rng = np.random.default_rng(0)
+        svol = tmp_path / "v.svol"
+        write_svol(svol, rng.normal(0, 1, (8, 512, 512)).astype(np.float32))   # 8 MB
+
+        class Big(Module):
+            def __init__(self):
+                self.weight = Tensor(rng.normal(0, 1, (2, 1024, 1024)).astype(np.float32))
+
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, {"model": {}}, Big())
+        for read, path in ((read_svol, svol), (load_checkpoint, ckpt)):
+            tracemalloc.start()
+            try:
+                read(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.25 * path.stat().st_size, (read.__name__, peak)

@@ -1,6 +1,7 @@
 """Optimizer, run config, curves, checkpoints, and the train/eval/predict loops."""
 
 import dataclasses
+import importlib
 import json
 import re
 import typing
@@ -361,10 +362,29 @@ class TestRunConfig:
             dict(min_foreground=1.5),
             dict(data_root=""),
             dict(output_dir=""),
+            dict(optimizer=dataclasses.replace(base.optimizer, beta1=1.5)),
+            dict(optimizer=dataclasses.replace(base.optimizer, beta2=1.0)),
+            dict(optimizer=dataclasses.replace(base.optimizer, beta1=-0.1)),
+            dict(model=dataclasses.replace(base.model, num_classes=3)),
+            dict(model=dataclasses.replace(base.model, num_classes=5)),
+            dict(model=dataclasses.replace(base.model, in_channels=4)),
         ]
         for kw in bad:
             with pytest.raises(ConfigError):
                 dataclasses.replace(base, **kw).validate()
+
+    @pytest.mark.parametrize("override", ["optimizer.beta1=1.5", "model.num_classes=3",
+                                          "model.in_channels=4"])
+    def test_train_refuses_before_loading_data(self, tmp_path, monkeypatch, override):
+        # `segforge.train` the attribute is the function, so fetch the module
+        module = importlib.import_module("segforge.train")
+        calls = []
+        monkeypatch.setattr(module, "load_data_root", lambda *args: calls.append(args))
+        d = apply_overrides(tiny_config(tmp_path / "run").to_dict(), [override])
+        with pytest.raises(ConfigError):
+            train(RunConfig.from_dict(d))
+        assert calls == []
+        assert not (tmp_path / "run").exists()
 
     def test_validate_rejects_non_finite_floats(self):
         keys = [key for key, hint in config_fields(RunConfig) if hint is float]
