@@ -8,7 +8,8 @@ A model's arrays are named by `model_arrays` alone, as ``param:<path>`` and
 ``buffer:<path>``; the optimizer adds ``adam.m:`` and ``adam.v:`` entries.
 Saves are atomic (temp file + rename), so an interrupted run keeps its last
 intact checkpoint. Loads decode the file through `errors.read_binary`, each
-tensor read straight into its array, so a load holds no copy of the file.
+tensor read straight into its array, so a load holds no copy of the file; a
+save writes each tensor from its own buffer, so a save holds none either.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BinaryReader, ConfigError, FormatError, open_output, read_binary
+from .errors import (BinaryReader, ConfigError, FormatError, open_output, read_binary,
+                     write_array)
 from .layers import Module
 from .model import ModelConfig, SegmentationModel
 
@@ -52,21 +54,27 @@ def model_arrays(model: Module) -> dict[str, np.ndarray]:
     return arrays
 
 
-def _pack_entry(name: str, arr: np.ndarray) -> bytes:
+def _entry_header(name: str, arr: np.ndarray) -> tuple[bytes, np.dtype]:
+    """An entry's name, dtype code, rank and dims, and the dtype its data is stored in."""
     code = _CODE_FOR_NAME.get(arr.dtype.name)
     if code is None:
         raise FormatError(f"cannot checkpoint dtype {arr.dtype} for '{name}'")
-    data = np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code])
+    shape = arr.shape or (1,)   # a 0-d array is stored as np.ascontiguousarray makes it
     nbytes = name.encode("utf-8")
-    parts = [struct.pack("<I", len(nbytes)), nbytes,
-             struct.pack("<BB", code, data.ndim),
-             struct.pack(f"<{data.ndim}I", *data.shape) if data.ndim else b"",
-             data.tobytes()]
-    return b"".join(parts)
+    header = struct.pack(f"<I{len(nbytes)}sBB{len(shape)}I", len(nbytes), nbytes,
+                         code, len(shape), *shape)
+    return header, _DTYPE_CODES[code]
 
 
 def save_checkpoint(path: str | os.PathLike, config: dict, model: Module,
                     optimizer=None, epoch: int = 0, best: Optional[dict] = None) -> None:
+    """Write the model's arrays, and the optimizer's moments if given, to `path` atomically.
+
+    Every dtype is checked and every header built before the first byte is
+    written; each array's own buffer then follows its header, so the save
+    holds no copy of what it writes (an array not already C-ordered in its
+    stored dtype is converted on its own, just before it is written).
+    """
     arrays = model_arrays(model)
     if optimizer is not None:
         arrays.update(optimizer.state_arrays())
@@ -77,16 +85,17 @@ def save_checkpoint(path: str | os.PathLike, config: dict, model: Module,
     }
     config_doc = json.dumps(config, sort_keys=True).encode("utf-8")
     meta_doc = json.dumps(meta, sort_keys=True).encode("utf-8")
-
-    parts = [MAGIC, struct.pack("<I", VERSION),
-             struct.pack("<I", len(config_doc)), config_doc,
-             struct.pack("<I", len(meta_doc)), meta_doc,
-             struct.pack("<I", len(arrays))]
-    for name, arr in arrays.items():
-        parts.append(_pack_entry(name, arr))
+    head = b"".join([MAGIC, struct.pack("<I", VERSION),
+                     struct.pack("<I", len(config_doc)), config_doc,
+                     struct.pack("<I", len(meta_doc)), meta_doc,
+                     struct.pack("<I", len(arrays))])
+    entries = [(*_entry_header(name, arr), arr) for name, arr in arrays.items()]
 
     with open_output(path) as fh:
-        fh.write(b"".join(parts))
+        fh.write(head)
+        for header, dtype, arr in entries:
+            fh.write(header)
+            write_array(fh, np.ascontiguousarray(arr, dtype=dtype))
 
 
 def _read_doc(reader: BinaryReader, what: str) -> dict:
@@ -103,8 +112,13 @@ def _read_doc(reader: BinaryReader, what: str) -> dict:
     return doc
 
 
-def load_checkpoint(path: str | os.PathLike) -> CheckpointData:
-    """Parse a checkpoint; a truncated or corrupt file raises FormatError with its byte offset."""
+def load_checkpoint(path: str | os.PathLike, optimizer_state: bool = True) -> CheckpointData:
+    """Parse a checkpoint; a truncated or corrupt file raises FormatError with its byte offset.
+
+    With `optimizer_state` False, the ``adam.*`` entries are checked (name,
+    dtype, dims and the payload's bound) but their payloads are skipped, not
+    read, and they are left out of `arrays`; inference needs only the model.
+    """
     with read_binary(path, "checkpoint") as reader:
         if reader.take(len(MAGIC), "magic") != MAGIC:
             raise FormatError(f"not a checkpoint file: {path}")
@@ -136,7 +150,10 @@ def load_checkpoint(path: str | os.PathLike) -> CheckpointData:
                 raise FormatError(f"unknown dtype code {code} for '{name}' at byte "
                                   f"{reader.offset - 2} in {path}")
             dims = reader.unpack(f"<{rank}I", f"dims of '{name}'")
-            arrays[name] = reader.array(dtype, dims, f"tensor '{name}'")
+            if optimizer_state or not name.startswith("adam."):
+                arrays[name] = reader.array(dtype, dims, f"tensor '{name}'")
+            else:
+                reader.skip(dtype, dims, f"tensor '{name}'")
         reader.drain()
 
     return CheckpointData(config=config, arrays=arrays, epoch=epoch,

@@ -82,12 +82,39 @@ def remap_labels(raw: np.ndarray) -> np.ndarray:
     return out
 
 
+# numpy sums a contiguous float64 array pairwise: it splits n values at
+# n//2 - (n//2) % 8 and adds the two halves' sums, down to unrolled blocks of
+# 128. np.add.reduce sums a piece of at most this many values by that rule.
+STATS_PIECE = 1 << 16
+
+
+def _squared_deviation_sum(vals: np.ndarray, centre: np.ndarray) -> np.float64:
+    """sum((vals - centre)**2) in float64, added in numpy's own pairwise tree."""
+    n = vals.size
+    if n <= STATS_PIECE:
+        # centre is a 1-element float64 array: a scalar could let value-based
+        # casting (numpy < 2) run the subtraction in float32
+        dev = np.subtract(vals, centre)
+        return np.add.reduce(np.square(dev, out=dev))
+    half = n // 2 - (n // 2) % 8
+    return (_squared_deviation_sum(vals[:half], centre)
+            + _squared_deviation_sum(vals[half:], centre))
+
+
 def _nonzero_stats(vol: np.ndarray):
-    """Mean and std (floored at 1e-8) of the nonzero voxels; None when there are none."""
+    """Mean and std (floored at 1e-8) of the nonzero voxels; None when there are none.
+
+    Both are bit-equal to `vals.mean/std(dtype=np.float64)`, but the std sums
+    its squared deviations in pieces of at most STATS_PIECE values, in the
+    tree numpy would add them in, so no float64 copy of every nonzero voxel
+    is made.
+    """
     vals = vol[vol != 0]
     if not vals.size:
         return None
-    return vals.mean(dtype=np.float64), max(float(vals.std(dtype=np.float64)), 1e-8)
+    mean = vals.mean(dtype=np.float64)
+    var = _squared_deviation_sum(vals, np.full(1, mean)) / vals.size
+    return mean, max(float(np.sqrt(var)), 1e-8)
 
 
 def _zscore(vol: np.ndarray, stats) -> np.ndarray:

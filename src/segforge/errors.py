@@ -15,6 +15,8 @@ A `BinaryReader` from `read_binary` decodes every binary file; a format
 module keeps only its layout. Each read is bounded by the file's size before
 anything is allocated, a short one is a FormatError naming the byte offset,
 and payloads are read straight into their arrays, never via a second copy.
+Writers check everything and build every header first, then `write_array`
+hands each array's own buffer to the file, so a write holds no copy either.
 """
 
 import contextlib
@@ -96,17 +98,23 @@ class BinaryReader:
         """The next fields `fmt` describes, as `struct.unpack` gives them."""
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), field))
 
-    def array(self, dtype: np.dtype, dims, field: str, at=None) -> np.ndarray:
-        """The C-order `dtype` array of `dims` next, or from byte `at`, as a native array."""
-        start = self.offset if at is None else at
+    def _payload_size(self, dtype: np.dtype, dims, field: str, start: int) -> int:
+        """The byte size of a `dtype` array of `dims` at `start`; shape and bound are checked."""
         nbytes = math.prod(dims) * dtype.itemsize
         if start + nbytes > self.limit:
             raise self._truncated(field, start, nbytes)
-        try:
-            arr = np.empty(dims, dtype=dtype.newbyteorder("="))
+        try:   # the shape checks np.empty makes, without allocating
+            np.broadcast_to(np.empty((), dtype=dtype), dims)
         except ValueError:   # more dims than numpy allows, or a size-0 shape that overflows
             raise FormatError(f"bad shape {list(dims)} of {field} at byte {start} "
                               f"in {self.path}") from None
+        return nbytes
+
+    def array(self, dtype: np.dtype, dims, field: str, at=None) -> np.ndarray:
+        """The C-order `dtype` array of `dims` next, or from byte `at`, as a native array."""
+        start = self.offset if at is None else at
+        nbytes = self._payload_size(dtype, dims, field, start)
+        arr = np.empty(dims, dtype=dtype.newbyteorder("="))
         if at is not None:
             self._fh.seek(at)
         out = arr.reshape(-1).view(np.uint8)
@@ -120,6 +128,18 @@ class BinaryReader:
         if not dtype.isnative:
             arr.byteswap(inplace=True)
         return arr
+
+    def skip(self, dtype: np.dtype, dims, field: str) -> None:
+        """Pass over the `dtype` array of `dims` next without reading it into memory.
+
+        A plain file seeks; a gzip stream inflates the bytes and drops them.
+        """
+        start = self.offset
+        nbytes = self._payload_size(dtype, dims, field, start)
+        got = self._fh.seek(start + nbytes) - start
+        if got < nbytes:
+            raise self._truncated(field, start, nbytes, got)
+        self.offset = start + nbytes
 
     def drain(self, trailing_ok: bool = False) -> None:
         """Read to the end, so gzip checks its CRC; bytes left are an error unless trailing_ok."""
@@ -165,6 +185,17 @@ def open_output(path):
     finally:
         with contextlib.suppress(OSError):
             os.remove(tmp)      # still there only if the block or the rename failed
+
+
+def write_array(fh, arr: np.ndarray) -> None:
+    """Write C-contiguous `arr`'s own buffer to `fh`, in PIECE-byte slices and with no copy.
+
+    The slices bound what one write hands on, such as the output of one
+    GzipFile compression call, to PIECE bytes.
+    """
+    buf = arr.reshape(-1).view(np.uint8)
+    for lo in range(0, buf.size, PIECE):
+        fh.write(buf[lo:lo + PIECE])
 
 
 def check_output_dir(path) -> None:

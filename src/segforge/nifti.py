@@ -21,7 +21,7 @@ import struct
 
 import numpy as np
 
-from .errors import BinaryReader, FormatError, open_output, read_binary
+from .errors import BinaryReader, FormatError, open_output, read_binary, write_array
 
 HEADER_SIZE = 348
 MAGIC_SINGLE = b"n+1\x00"
@@ -117,23 +117,27 @@ def read_spacing(path: str | os.PathLike) -> tuple[float, float, float]:
 
 def write_nifti(path: str | os.PathLike, volume: np.ndarray,
                 spacing: tuple[float, float, float] | None = None) -> None:
-    """Store a [D, H, W] array as a single-file NIfTI-1 volume, no scaling."""
+    """Store a [D, H, W] array as a single-file NIfTI-1 volume, no scaling.
+
+    The dtype is checked and the header built before the file is opened;
+    the payload is then written from the stored array's own buffer (the
+    volume itself when it is already C-ordered in its stored dtype), through
+    the compressor for `.nii.gz`.
+    """
     if volume.ndim != 3:
         raise FormatError(f"write_nifti needs a 3D array, got shape {volume.shape}")
-    arr = np.ascontiguousarray(volume)
-    if arr.dtype not in _CODE_FOR_DTYPE:
-        if arr.dtype.kind == "f":
-            arr = arr.astype("f4")
-        else:
+    base = volume.dtype
+    if base not in _CODE_FOR_DTYPE:
+        if base.kind != "f":
             raise FormatError(f"cannot store dtype {volume.dtype} in NIfTI "
                               f"(use u1, i2, u2 or f4)")
-    base = np.dtype(arr.dtype.name)
+        base = np.dtype("f4")
     code = _CODE_FOR_DTYPE[base]
-    arr = arr.astype(base.newbyteorder("<"), copy=False)
+    arr = np.ascontiguousarray(volume, dtype=base.newbyteorder("<"))
     nz, ny, nx = arr.shape
 
     sd, sh, sw = spacing if spacing is not None else (1.0, 1.0, 1.0)
-    hdr = bytearray(HEADER_SIZE)
+    hdr = bytearray(HEADER_SIZE + 4)   # + the empty extension flag
     struct.pack_into("<i", hdr, 0, HEADER_SIZE)
     struct.pack_into("<8h", hdr, 40, 3, nx, ny, nz, 1, 1, 1, 1)
     struct.pack_into("<h", hdr, 70, code)
@@ -144,11 +148,12 @@ def write_nifti(path: str | os.PathLike, volume: np.ndarray,
     struct.pack_into("<f", hdr, 116, 0.0)
     hdr[344:348] = MAGIC_SINGLE
 
-    payload = bytes(hdr) + b"\x00\x00\x00\x00" + arr.tobytes()
     with open_output(path) as fh:
         if str(path).endswith(".gz"):
             # the gzip header names `path`, not the temporary file written
             with gzip.GzipFile(os.fspath(path), mode="wb", fileobj=fh, mtime=0) as gz:
-                gz.write(payload)
+                gz.write(hdr)
+                write_array(gz, arr)
         else:
-            fh.write(payload)
+            fh.write(hdr)
+            write_array(fh, arr)

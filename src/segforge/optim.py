@@ -68,7 +68,11 @@ class Adam:
         gradient that `backward` leaves.
 
         Every gradient is checked before the first update, so a failed step
-        leaves the parameters, moments and step count untouched.
+        leaves the parameters, moments, step count and every .grad untouched.
+        A successful step sets each parameter's .grad to None right after
+        that parameter's update, so the gradients are freed one by one before
+        the next forward instead of living on through it; the next `backward`
+        starts from no gradient, as after `zero_grad`.
         """
         t = self.step_count + 1
         for name, p in self.params.items():
@@ -108,6 +112,7 @@ class Adam:
                 np.multiply(np.divide(mc, bc1, out=upd), lr, out=upd)
                 np.add(np.sqrt(np.divide(vc, bc2, out=den), out=den), eps, out=den)
                 pc -= np.divide(upd, den, out=upd)
+            p.grad = None
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Moment buffers keyed for checkpointing."""

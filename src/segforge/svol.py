@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError, open_output, read_binary
+from .errors import FormatError, open_output, read_binary, write_array
 
 MAGIC = b"SVOL0001"
 
@@ -26,24 +26,24 @@ def write_svol(path: str | os.PathLike, array: np.ndarray) -> None:
     """Store any float, unsigned or signed integer array as float32, uint8 or int16.
 
     An integer value the stored type cannot hold is a FormatError, not wrapped.
+    Every check is made before the file is opened; the payload is then
+    written from the stored array's own buffer, which is `array` itself when
+    it is already C-ordered in the stored dtype.
     """
-    arr = np.ascontiguousarray(array)
-    code = _CODE_FOR_KIND.get(arr.dtype.kind)
+    src = np.atleast_1d(array)   # a 0-d array is stored with rank 1
+    code = _CODE_FOR_KIND.get(src.dtype.kind)
     if code is None:
-        raise FormatError(f"svol cannot store dtype {arr.dtype}")
-    stored = arr.astype(_DTYPE_CODES[code], copy=False)
-    if arr.dtype.kind != "f" and stored.dtype != arr.dtype and not np.array_equal(stored, arr):
-        raise FormatError(f"svol stores {arr.dtype} as {stored.dtype}, "
+        raise FormatError(f"svol cannot store dtype {src.dtype}")
+    arr = np.ascontiguousarray(src, dtype=_DTYPE_CODES[code])
+    if src.dtype.kind != "f" and arr.dtype != src.dtype and not np.array_equal(arr, src):
+        raise FormatError(f"svol stores {src.dtype} as {arr.dtype}, "
                           f"which cannot hold every value of this array")
-    arr = stored
-    if arr.ndim < 1 or arr.ndim > MAX_RANK:
+    if arr.ndim > MAX_RANK:
         raise FormatError(f"svol rank must be 1..{MAX_RANK}, got {arr.ndim}")
+    header = MAGIC + struct.pack(f"<I{arr.ndim}IB", arr.ndim, *arr.shape, code)
     with open_output(path) as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(struct.pack("<B", code))
-        fh.write(arr.tobytes())
+        fh.write(header)
+        write_array(fh, arr)
 
 
 def read_svol(path: str | os.PathLike) -> np.ndarray:

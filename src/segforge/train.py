@@ -312,9 +312,8 @@ def train(cfg: RunConfig, verbose: bool = False) -> dict:
             batch = make_batch(train_slices, chunk)
             logits = model(Tensor(batch.images), training=True)
             loss = _combined_loss(logits, batch.labels, cfg.loss)
-            model.zero_grad()
             backward(loss)
-            optimizer.step()
+            optimizer.step()   # frees each .grad, so the next backward starts from none
             acc.update(logits_to_labels(logits.data), batch.labels)
             acc.add_loss(loss.item(), len(chunk))
         train_rec = acc.record(epoch, "train")
@@ -346,7 +345,7 @@ def _load_run(ckpt_path, batch_size: int) -> tuple[RunConfig, SegmentationModel]
     """A checkpoint's run config, type-checked, and its restored model; checks batch_size first."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    ckpt = load_checkpoint(ckpt_path)
+    ckpt = load_checkpoint(ckpt_path, optimizer_state=False)
     cfg = RunConfig.from_dict(ckpt.config)
     return cfg, restore_model(ckpt)
 

@@ -8,6 +8,9 @@ binary64 so reassociation cannot change the result.
 """
 
 import gzip
+import io
+import json
+import os
 import struct
 import types
 
@@ -265,6 +268,70 @@ def reference_read_nifti(path):
     if slope != 0.0 and (slope != 1.0 or inter != 0.0):
         vol = vol.astype(np.float32) * np.float32(slope) + np.float32(inter)
     return vol
+
+
+# ---------------------------------------------------------------------------
+# writer references: the copying writers that the streaming ones replaced.
+# Each builds the whole file in memory (a tobytes() copy of every array, then
+# one join) and returns its bytes; none validates its input.
+
+
+def reference_checkpoint_bytes(config, arrays, epoch=0, best=None, optimizer_step=0):
+    """A checkpoint of `arrays` (stored name -> array, in file order)."""
+    codes = {"float32": (0, "<f4"), "float64": (1, "<f8"), "uint8": (2, "u1"),
+             "int64": (3, "<i8")}
+    meta = {"epoch": int(epoch), "best": best, "optimizer_step": int(optimizer_step)}
+    config_doc = json.dumps(config, sort_keys=True).encode("utf-8")
+    meta_doc = json.dumps(meta, sort_keys=True).encode("utf-8")
+    parts = [b"SEGCKPT1", struct.pack("<I", 1),
+             struct.pack("<I", len(config_doc)), config_doc,
+             struct.pack("<I", len(meta_doc)), meta_doc,
+             struct.pack("<I", len(arrays))]
+    for name, arr in arrays.items():
+        code, dtype = codes[arr.dtype.name]
+        data = np.ascontiguousarray(arr, dtype=dtype)
+        nbytes = name.encode("utf-8")
+        parts += [struct.pack("<I", len(nbytes)), nbytes,
+                  struct.pack("<BB", code, data.ndim),
+                  struct.pack(f"<{data.ndim}I", *data.shape) if data.ndim else b"",
+                  data.tobytes()]
+    return b"".join(parts)
+
+
+def reference_svol_bytes(array):
+    """An svol file of `array`, stored as float32, uint8 or int16 by its dtype's kind."""
+    arr = np.ascontiguousarray(array)
+    code = {"f": 0, "u": 1, "i": 2}[arr.dtype.kind]
+    arr = arr.astype({0: "<f4", 1: "u1", 2: "<i2"}[code], copy=False)
+    return (b"SVOL0001" + struct.pack("<I", arr.ndim) + struct.pack(f"<{arr.ndim}I", *arr.shape)
+            + struct.pack("<B", code) + arr.tobytes())
+
+
+def reference_nifti_bytes(volume, spacing=None, gz_path=None):
+    """A NIfTI-1 file of a [D, H, W] volume, gzipped at level 9 when `gz_path` names it."""
+    codes = {np.dtype("u1"): 2, np.dtype("i2"): 4, np.dtype("f4"): 16, np.dtype("u2"): 512}
+    arr = np.ascontiguousarray(volume)
+    if arr.dtype not in codes:
+        arr = arr.astype("f4")
+    base = np.dtype(arr.dtype.name)
+    arr = arr.astype(base.newbyteorder("<"), copy=False)
+    nz, ny, nx = arr.shape
+    sd, sh, sw = spacing if spacing is not None else (1.0, 1.0, 1.0)
+    hdr = bytearray(348)
+    struct.pack_into("<i", hdr, 0, 348)
+    struct.pack_into("<8h", hdr, 40, 3, nx, ny, nz, 1, 1, 1, 1)
+    struct.pack_into("<h", hdr, 70, codes[base])
+    struct.pack_into("<h", hdr, 72, base.itemsize * 8)
+    struct.pack_into("<8f", hdr, 76, 1.0, sw, sh, sd, 1.0, 1.0, 1.0, 1.0)
+    struct.pack_into("<f", hdr, 108, 352.0)
+    hdr[344:348] = b"n+1\x00"
+    payload = bytes(hdr) + b"\x00\x00\x00\x00" + arr.tobytes()
+    if gz_path is None:
+        return payload
+    buf = io.BytesIO()
+    with gzip.GzipFile(os.fspath(gz_path), mode="wb", fileobj=buf, mtime=0) as gz:
+        gz.write(payload)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ import pytest
 import segforge
 import segforge.errors as errors_module
 
-from segforge.checkpoint import load_checkpoint, save_checkpoint
+from segforge.checkpoint import load_checkpoint, model_arrays, save_checkpoint
 from segforge.data import (DEFAULT_CROP, MODALITIES, SynthSpec, VolumeSample,
-                           crop_offsets, extract_slices, list_cases, load_case,
+                           _nonzero_stats, _squared_deviation_sum, crop_offsets,
+                           extract_slices, list_cases, load_case,
                            load_data_root, make_batch, normalize_modality,
                            parse_synth_uri, read_volume, remap_labels,
                            split_dataset, synth_case, synth_dataset,
@@ -26,10 +27,12 @@ from segforge.errors import (ConfigError, ContractError, DataError,
                              FormatError, open_output)
 from segforge.layers import Module
 from segforge.nifti import read_nifti, read_spacing, write_nifti
+from segforge.optim import Adam
 from segforge.svol import read_svol, write_svol
 from segforge.tensor import Tensor
 
-from oracles import reference_extract_slices, reference_read_nifti
+from oracles import (reference_checkpoint_bytes, reference_extract_slices,
+                     reference_nifti_bytes, reference_read_nifti, reference_svol_bytes)
 
 
 class TestRemapLabels:
@@ -69,6 +72,55 @@ class TestNormalizeModality:
         vol = np.full((2, 4, 4), 7.0, dtype=np.float32)
         out = normalize_modality(vol)
         np.testing.assert_array_equal(out, 0.0)
+
+
+class TestNonzeroStats:
+    """The piecewise std is bit-equal to numpy's whole-array one.
+
+    Equality holds only while numpy sums a contiguous float64 array by the
+    pairwise rule `_nonzero_stats` copies; these tests fail if it changes.
+    """
+
+    @staticmethod
+    def assert_numpy_stats(vol):
+        vals = vol[vol != 0]
+        mean, std = _nonzero_stats(vol)
+        assert mean.tobytes() == vals.mean(dtype=np.float64).tobytes()
+        want = max(float(vals.std(dtype=np.float64)), 1e-8)
+        assert np.float64(std).tobytes() == np.float64(want).tobytes()
+        # the sum under the square root, whose last bits the sqrt can round away
+        centre = np.full(1, mean)
+        assert (_squared_deviation_sum(vals, centre).tobytes()
+                == np.add.reduce(np.square(vals - centre)).tobytes())
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 127, 128, 129,
+                                   2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+    def test_equals_numpy_bytewise(self, n):
+        for seed in range(4):
+            # six decades of magnitude, so that another summation order rounds differently
+            rng = np.random.default_rng([n, seed])
+            self.assert_numpy_stats((10.0 ** rng.uniform(-2, 4, n)).astype(np.float32))
+
+    def test_brain_volume_equals_numpy_without_a_float64_copy(self):
+        rng = np.random.default_rng(7)
+        vol = np.zeros((155, 240, 240), dtype=np.float32)
+        z, y, x = np.ogrid[:155, :240, :240]
+        brain = ((z - 77) / 70) ** 2 + ((y - 120) / 100) ** 2 + ((x - 120) / 90) ** 2 < 1
+        vol[brain] = np.abs(rng.normal(400.0, 120.0, int(brain.sum()))).astype(np.float32) + 1
+        self.assert_numpy_stats(vol)
+        vals_nbytes = int(brain.sum()) * vol.itemsize
+        tracemalloc.start()
+        try:
+            _nonzero_stats(vol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the nonzero values and the mask that picks them, and nothing near their size
+        assert peak < vals_nbytes + vol.size + 2 * 2**20, peak
+
+    def test_no_nonzero_voxel_gives_none(self):
+        assert _nonzero_stats(np.zeros((2, 3, 4), dtype=np.float32)) is None
+        assert _nonzero_stats(np.full(5, -0.0, dtype=np.float32)) is None
 
 
 class TestSlicing:
@@ -849,6 +901,92 @@ class TestFilePolicy:
             return isinstance(call.func, ast.Attribute) and call.func.attr in ("read", "readinto")
 
         assert self._calls_outside_errors_py(reads) == []
+
+    @staticmethod
+    def _odd_arrays():
+        """Arrays a writer must convert: other byte order, Fortran order, strided, other dtype."""
+        rng = np.random.default_rng(2)
+        f8 = np.asfortranarray(rng.normal(0, 1, (3, 4, 5)))
+        return {"f4": rng.normal(0, 1, (3, 4, 5)).astype(np.float32),
+                "f8_fortran": f8,
+                "f4_big_endian": f8.astype(">f4"),
+                "f2": f8.astype(np.float16),
+                "u1_strided": rng.integers(0, 255, (3, 8, 10), dtype=np.uint8)[:, ::2, 1::2],
+                "i2": rng.integers(-900, 900, (3, 4, 5), dtype=np.int16),
+                "u2": rng.integers(0, 256, (3, 4, 5), dtype=np.uint16)}   # svol stores u1
+
+    @pytest.mark.parametrize("suffix", [".svol", ".nii", ".nii.gz"])
+    def test_volume_writes_equal_the_copying_reference(self, tmp_path, suffix):
+        arrays = self._odd_arrays()
+        if suffix == ".svol":   # what only svol stores: 0-d, rank 1, empty, wider integers
+            arrays.update(zero_d=np.array(7, dtype=np.int64), rank1=np.arange(5.0),
+                          empty=np.zeros((0, 3), dtype=np.float32),
+                          i8=np.arange(-4, 8, dtype=np.int64).reshape(3, 4))
+        for name, arr in arrays.items():
+            path = tmp_path / f"{name}{suffix}"
+            if suffix == ".svol":
+                write_svol(path, arr)
+                want = reference_svol_bytes(arr)
+            else:
+                write_nifti(path, arr, spacing=(2.0, 0.5, 0.25))
+                want = reference_nifti_bytes(arr, spacing=(2.0, 0.5, 0.25),
+                                             gz_path=path if suffix == ".nii.gz" else None)
+            assert path.read_bytes() == want, name
+
+    def test_checkpoint_write_equals_the_copying_reference(self, tmp_path):
+        odd = self._odd_arrays()
+
+        class Odd(Module):
+            def __init__(self):
+                self.weight = Tensor(odd["f4"], requires_grad=True)
+                self.f8 = Tensor(odd["f8_fortran"].copy(), requires_grad=True)
+                self.big_endian = odd["f4_big_endian"]
+                self.fortran = odd["f8_fortran"]
+                self.strided = odd["u1_strided"]
+                self.count = np.array(3, dtype=np.int64)
+                self.scalar = np.array(1.5, dtype=np.float32)
+                self.empty = np.zeros((0, 4), dtype=np.float32)
+
+        model = Odd()
+        opt = Adam(dict(model.named_parameters()))
+        for _, p in model.named_parameters():
+            p.grad = np.ones_like(p.data)
+        opt.step()
+        path = tmp_path / "odd.ckpt"
+        save_checkpoint(path, {"model": {"x": 1}}, model, opt, epoch=4,
+                        best={"epoch": 2, "dice": 0.5})
+        want = reference_checkpoint_bytes({"model": {"x": 1}},
+                                          {**model_arrays(model), **opt.state_arrays()},
+                                          epoch=4, best={"epoch": 2, "dice": 0.5},
+                                          optimizer_step=1)
+        assert path.read_bytes() == want
+
+    def test_writes_hold_no_second_copy(self, tmp_path):
+        rng = np.random.default_rng(1)
+        vol = rng.normal(0, 1, (8, 512, 512)).astype(np.float32)   # 8 MB
+
+        class Big(Module):
+            def __init__(self):
+                self.weight = Tensor(vol.reshape(2, 1024, 1024))
+
+        big = Big()
+        writes = {"m.ckpt": (lambda p: save_checkpoint(p, {"model": {}}, big),
+                             lambda p: reference_checkpoint_bytes({"model": {}},
+                                                                  model_arrays(big))),
+                  "v.svol": (lambda p: write_svol(p, vol), lambda p: reference_svol_bytes(vol)),
+                  "v.nii": (lambda p: write_nifti(p, vol), lambda p: reference_nifti_bytes(vol)),
+                  "v.nii.gz": (lambda p: write_nifti(p, vol),
+                               lambda p: reference_nifti_bytes(vol, gz_path=p))}
+        for name, (write, reference) in writes.items():
+            path = tmp_path / name
+            tracemalloc.start()
+            try:
+                write(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.25 * vol.nbytes, (name, peak)
+            assert path.read_bytes() == reference(path), name
 
     def test_reads_hold_no_second_copy(self, tmp_path):
         rng = np.random.default_rng(0)

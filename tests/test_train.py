@@ -1,9 +1,13 @@
 """Optimizer, run config, curves, checkpoints, and the train/eval/predict loops."""
 
 import dataclasses
+import gzip
 import importlib
 import json
+import math
 import re
+import struct
+import tracemalloc
 import typing
 import weakref
 from pathlib import Path
@@ -16,7 +20,7 @@ from segforge.checkpoint import (CheckpointData, apply_arrays, load_checkpoint,
                                  model_arrays, restore_model, save_checkpoint)
 from segforge.data import (MODALITIES, extract_slices, load_data_root,
                            synth_case, write_case, write_volume)
-from segforge.errors import (ConfigError, ContractError, DataError,
+from segforge.errors import (BinaryReader, ConfigError, ContractError, DataError,
                              FormatError, NumericError, ShapeError)
 from segforge.layers import BatchNorm2d, Conv2d, Module
 from segforge.metrics import binary_dice, cross_entropy_loss, one_hot, soft_dice_loss
@@ -176,6 +180,15 @@ class TestAdam:
                 Adam(p, eps=bad)
 
 
+def assert_model_only(model_only, full):
+    """`model_only` is `full` without its adam.* entries, bit for bit."""
+    assert (model_only.config, model_only.epoch, model_only.best, model_only.optimizer_step) \
+        == (full.config, full.epoch, full.best, full.optimizer_step)
+    want = {k: v for k, v in full.arrays.items() if not k.startswith("adam.")}
+    assert list(model_only.arrays) == list(want)
+    assert all(same_bits(model_only.arrays[k], v) for k, v in want.items())
+
+
 def same_bits(a, b):
     """Equal dtype, shape and bytes: signed zeros must match too."""
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -229,6 +242,8 @@ class TestChunkedAdam:
             p.grad = rng.standard_normal(p.shape).astype(np.float32)
         opt.step()
         before = [a.copy() for a in (params["b"].data, opt.m["b"], opt.v["b"])]
+        for p in params.values():   # step 1 freed its gradients
+            p.grad = rng.standard_normal(p.shape).astype(np.float32)
         params["b"].grad[CHUNK + 1] = np.nan    # in the second chunk
         with pytest.raises(NumericError,
                            match=r"^non-finite gradient for parameter 'b' at step 2$"):
@@ -246,6 +261,8 @@ class TestChunkedAdam:
             p.grad = rng.standard_normal(p.shape).astype(np.float32)
         opt.step()
         before = {n: [a.copy() for a in (p.data, opt.m[n], opt.v[n])] for n, p in params.items()}
+        for p in params.values():   # step 1 freed its gradients
+            p.grad = rng.standard_normal(p.shape).astype(np.float32)
         if fault == "nan":
             params["c"].grad[-1] = np.nan
             error = pytest.raises(NumericError,
@@ -253,11 +270,29 @@ class TestChunkedAdam:
         else:
             params["c"].grad = params["c"].grad[:-1]
             error = pytest.raises(ShapeError, match="'c'")
+        grads = {n: (p.grad, p.grad.copy()) for n, p in params.items()}
         with error:
             opt.step()
         assert opt.step_count == 1
         for n, p in params.items():
             assert all(same_bits(x, y) for x, y in zip(before[n], (p.data, opt.m[n], opt.v[n]))), n
+            # a refused step frees nothing: each .grad is the same array, unchanged
+            assert p.grad is grads[n][0] and same_bits(p.grad, grads[n][1]), n
+
+    def test_step_frees_every_gradient(self):
+        rng = np.random.default_rng(6)
+        params = {name: Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+                  for name, shape in self.SIZES.items()}
+        opt = Adam(params, lr=1e-2)
+        for step in (1, 2):
+            for name, p in params.items():
+                p.grad = None if name == "nograd" else \
+                    rng.standard_normal(p.shape).astype(np.float32)
+            freed = [weakref.ref(p.grad) for p in params.values() if p.grad is not None]
+            opt.step()
+            assert opt.step_count == step
+            assert all(p.grad is None for p in params.values())
+            assert all(ref() is None for ref in freed)   # nothing else holds them
 
     def test_fortran_ordered_moments_are_updated_in_place(self):
         rng = np.random.default_rng(5)
@@ -583,21 +618,79 @@ class TestCheckpoint:
                         best={"epoch": 1, "dice": 0.25})
         blob = path.read_bytes()
         bad = tmp_path / "bad.ckpt"
+        modes = (True, False)   # optimizer_state: moments read, or skipped
         for end in range(len(blob)):
             bad.write_bytes(blob[:end])
-            with pytest.raises(FormatError, match="byte|not a checkpoint"):
-                load_checkpoint(bad)
-        rejected = 0
+            for mode in modes:
+                with pytest.raises(FormatError, match="byte|not a checkpoint"):
+                    load_checkpoint(bad, optimizer_state=mode)
+        rejected = dict.fromkeys(modes, 0)
         for pos in range(len(blob)):
             for mask in (0x01, 0x80, 0xFF):
                 flipped = bytearray(blob)
                 flipped[pos] ^= mask
                 bad.write_bytes(flipped)
-                try:
-                    load_checkpoint(bad)   # a flip inside tensor data still parses
-                except DataError:          # FormatError is a DataError
-                    rejected += 1
-        assert rejected > len(blob)
+                loaded = {}
+                for mode in modes:
+                    try:
+                        loaded[mode] = load_checkpoint(bad, optimizer_state=mode)
+                    except DataError:   # FormatError is a DataError
+                        rejected[mode] += 1
+                if True in loaded:   # the model-only load refuses no file the full one takes
+                    assert False in loaded, (pos, mask)
+                if len(loaded) == 2:    # a flip inside tensor data still parses
+                    assert_model_only(loaded[False], loaded[True])
+        assert min(rejected.values()) > len(blob)
+
+    def test_model_only_load_skips_the_moments(self, tmp_path):
+        model, opt = self.make_model_and_opt()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, {"model": PRESETS["desk"].to_dict()}, model, opt, epoch=1)
+        full = load_checkpoint(path)
+        tracemalloc.start()
+        try:
+            model_only = load_checkpoint(path, optimizer_state=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_model_only(model_only, full)
+        model_bytes = sum(a.nbytes for a in model_arrays(model).values())
+        assert peak < 1.25 * model_bytes < 0.5 * path.stat().st_size, peak
+        # a model-only load still reads to the end: bytes past the last moment are refused
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="1 trailing bytes"):
+            load_checkpoint(path, optimizer_state=False)
+
+    @pytest.mark.parametrize("dims", [[1] * 65, [0] + [2**32 - 1] * 3],
+                             ids=["too_many_dims", "zero_size_overflow"])
+    def test_a_bad_shape_is_refused_whether_read_or_skipped(self, tmp_path, dims):
+        config, meta = b"{}", json.dumps({"epoch": 0, "optimizer_step": 0}).encode()
+        entry = (struct.pack("<I7sBB", 7, b"adam.m:", 0, len(dims))
+                 + struct.pack(f"<{len(dims)}I", *dims) + b"\x00" * 4 * math.prod(dims))
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b"SEGCKPT1" + struct.pack("<II", 1, len(config)) + config
+                         + struct.pack("<I", len(meta)) + meta + struct.pack("<I", 1) + entry)
+        payload_at = path.stat().st_size - 4 * math.prod(dims)
+        for mode in (True, False):
+            with pytest.raises(FormatError, match=rf"^bad shape .* of tensor 'adam\.m:' "
+                                                  rf"at byte {payload_at} "):
+                load_checkpoint(path, optimizer_state=mode)
+
+    @pytest.mark.parametrize("gz", [False, True])
+    def test_skipped_moment_cut_short_names_its_byte(self, tmp_path, gz):
+        model, opt = self.make_model_and_opt()
+        plain = tmp_path / "m.ckpt"
+        save_checkpoint(plain, {"model": PRESETS["desk"].to_dict()}, model, opt)
+        blob = plain.read_bytes()
+        # a path ending in .gz is read gunzipped, so a skip inflates rather than seeks
+        path = tmp_path / ("x.ckpt.gz" if gz else "x.ckpt")
+        pack = (lambda b: gzip.compress(b, compresslevel=1, mtime=0)) if gz else bytes
+        path.write_bytes(pack(blob))
+        assert_model_only(load_checkpoint(path, optimizer_state=False), load_checkpoint(plain))
+        path.write_bytes(pack(blob[:-1]))   # one byte short of the last moment's payload
+        with pytest.raises(FormatError, match=r"^truncated tensor 'adam\.v:head\.bias' "
+                                              rf"from byte {len(blob) - 16} "):
+            load_checkpoint(path, optimizer_state=False)
 
     def test_apply_rejects_architecture_mismatch(self, tmp_path):
         model = build_model(PRESETS["desk"])
@@ -730,6 +823,26 @@ def split_run(tmp_path_factory):
                       val_on_train=False, epochs=1)
     cfg = dataclasses.replace(cfg, split=dataclasses.replace(cfg.split, fraction=0.5))
     return train(cfg), cfg
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_inference_reads_no_optimizer_moment(overfit_run, tmp_path, monkeypatch, command):
+    real, fields = BinaryReader.array, []
+
+    def spy(self, dtype, dims, field, at=None):
+        fields.append(field)
+        return real(self, dtype, dims, field, at)
+
+    monkeypatch.setattr(BinaryReader, "array", spy)
+    if command == "evaluate":
+        evaluate(overfit_run["best"], TINY_ROOT, split="all", out_path=str(tmp_path / "r.json"))
+    else:
+        write_case(synth_case([98, 0], dims=(8, 64, 64), case_id="c"), tmp_path, fmt="svol")
+        predict(overfit_run["best"], str(tmp_path / "c"), str(tmp_path / "m.svol"))
+    tensors = [f for f in fields if f.startswith("tensor ")]
+    assert tensors and not [f for f in tensors if f.startswith("tensor 'adam.")]
+    # the file holds moments, which a full load reads
+    assert any(k.startswith("adam.") for k in load_checkpoint(overfit_run["best"]).arrays)
 
 
 class TestEvaluate:
