@@ -2,7 +2,7 @@
 
 Every functional op records a single tape node with an analytic backward
 rule. Convolution is cross-correlation (no kernel flip) over zero-padded
-input; weights are OIHW. conv2d has two lowerings, chosen by shape alone.
+input; weights are OIHW. conv2d has three lowerings, chosen by shape alone.
 
 Taps, for stride-1 convs with a kernel larger than 1x1 on input planes of
 at least TAP_MIN_PLANE = 16x16 pixels (kn2row: Vasudevan, Anderson & Gregg,
@@ -22,8 +22,23 @@ on taps, against 8.5 ms and 10.3 ms on im2col.
 Below 16x16 the junk columns cost more than im2col saves: (2,256,8x8)->256
 took 3.5 ms forward and 8.5 ms backward on taps, against 1.9 and 3.7 ms.
 
-im2col, for every other conv: stride 2, 1x1, the 7x7 stem and 3x3 on 8x8
-and 4x4 planes. Its rows are output pixels and its columns run in
+Channel-major 1x1, for unpadded 1x1 convs whose output plane has at least
+POINTWISE_MIN_PLANE = 64 pixels (8x8), stride 1 or 2. A 1x1 conv is a plain
+GEMM on the NCHW tensor (Anderson, Vasudevan, Keane & Gregg, arXiv:1709.03395):
+the forward is one (oc, c) @ (c, oh*ow) GEMM per image on every stride-th
+pixel, and the input gradient the transposed GEMM, spread back onto those
+pixels. The weight gradient stays im2col's GEMM on im2col's operands. With
+scipy-openblas 0.3.31 every result has im2col's bytes on every 1x1 shape of
+the desk and full presets.
+In one full-preset training step (N=2, 128x128, 2 vCPU) the 1x1 convs on
+8x8 outputs took 147 ms forward and backward against 189 ms on im2col,
+but those on 4x4 outputs took 28.5 ms against 24.3 ms: the per-image GEMMs
+with 16 columns lose in backward what the forward gains, so 4x4 and 2x2
+planes stay on im2col.
+
+im2col, for every other conv: stride 2 with larger kernels, padded 1x1s,
+1x1s on small planes, the 7x7 stem and 3x3 on 8x8 and 4x4 planes. Its rows
+are output pixels and its columns run in
 (c, kh, kw) order, so the weight matrix is the OIHW tensor reshaped in
 place. For 3x3 kernels the gather pads the input once into a channels-last
 buffer and fills the (n, oh, ow, c, kh, kw) matrix with nine strided slice
@@ -34,7 +49,7 @@ against 2.6 and 10 ms for 49 slice copies. Both gathers build the same
 matrix. col2im, for every kernel, adds the kh*kw slices back into a zeroed
 channels-last buffer, row-major over (kh, kw), and transposes to NCHW once.
 
-Backward on either lowering skips the input-gradient GEMMs (and col2im) when
+Backward on every lowering skips the input-gradient GEMMs (and col2im) when
 the input needs no gradient. In a model only the stem's input, the image
 batch, is such a tensor: the full stem (2,3,128x128)->64 took 3.2 ms
 backward without them, against 14.1 ms with them.
@@ -44,10 +59,16 @@ gradient rule recomputes whatever else it needs from them instead of
 keeping a second copy (recomputation in backward: Chen et al.,
 arXiv:1604.06174):
 - conv2d: nothing more. Backward rebuilds `xp` and the per-tap weights, or
-  `cols`, with the forward's own code, one extra gather per conv.
+  `cols`, with the forward's own code, one extra gather per conv; the
+  channel-major 1x1 path gathers only its weight gradient's channels-last
+  operands.
 - batch_norm (train mode only; eval mode folds it into its conv): the batch
   mean it subtracted and 1/std. Backward recomputes `xhat` with the
-  forward's subtraction and product, so it has the forward's bytes. With
+  forward's subtraction and product, so it has the forward's bytes; the
+  forward writes its output over `xhat`, and backward runs the gradient
+  formula's ufuncs in the formula's order into `xhat`, one spare buffer
+  and the returned gradient instead of a fresh array per step, so every
+  result keeps its bytes. With
   relu=True the ReLU runs in place on the output,
   which is the node's one activation, and the rule takes its mask from
   `out > 0` (In-Place Activated BatchNorm: Rota Bulo, Porzi & Kontschieder,
@@ -78,6 +99,9 @@ BN_MOMENTUM = 0.1
 # stride-1 convs on input planes of at least this many pixels (16x16) run one
 # GEMM per kernel tap; smaller planes and strided convs go through im2col
 TAP_MIN_PLANE = 256
+# unpadded 1x1 convs with output planes of at least this many pixels (8x8) run
+# channel-major, one GEMM per image; smaller planes go through im2col
+POINTWISE_MIN_PLANE = 64
 
 
 def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -107,7 +131,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         raise ShapeError(f"conv2d bias must have shape ({oc},), got {bias.shape}")
 
     b = bias.data if bias is not None else None
-    if stride == 1 and kh * kw > 1 and h * w >= TAP_MIN_PLANE:
+    if kh * kw == 1 and padding == 0 and oh * ow >= POINTWISE_MIN_PLANE:
+        out, backprop = _pointwise_conv(x.data, weight.data, b, stride)
+    elif stride == 1 and kh * kw > 1 and h * w >= TAP_MIN_PLANE:
         out, backprop = _tap_conv(x.data, weight.data, b, padding)
     else:
         out, backprop = _im2col_conv(x.data, weight.data, b, (oh, ow), stride, padding)
@@ -139,7 +165,7 @@ def _im2col_conv(x, weight, b, osize, stride, padding):
     out = np.ascontiguousarray(flat.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2))
 
     def backprop(g, need_gx):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, oc)
+        g2 = _channels_last(g)
         # `cols` is rebuilt from x by the same gather rather than kept on the tape
         gw = (g2.T @ _image_to_cols(x, (kh, kw), osize, stride, padding)).reshape(weight.shape)
         if not need_gx:
@@ -148,6 +174,43 @@ def _im2col_conv(x, weight, b, osize, stride, padding):
         return gx, gw
 
     return out, backprop
+
+
+def _pointwise_conv(x, weight, b, stride):
+    """Forward output and (gx, gw) rule of an unpadded 1x1 conv, channel-major.
+
+    The forward is one (oc, c) @ (c, oh*ow) GEMM per image on the NCHW input,
+    every `stride`-th pixel taken, and the input gradient its transpose,
+    spread back onto those pixels. The weight gradient is im2col's GEMM on
+    im2col's operands: for a 1x1 kernel `cols` is that input channels-last.
+    The rule's contract is the one of `_im2col_conv`.
+    """
+    n, c = x.shape[:2]
+    oc = weight.shape[0]
+    xs = x[:, :, ::stride, ::stride]
+    oh, ow = xs.shape[2:]
+    wmat = weight.reshape(oc, c)
+    out = np.matmul(wmat, xs.reshape(n, c, oh * ow)).reshape(n, oc, oh, ow)
+    if b is not None:
+        out += b.reshape(1, oc, 1, 1)
+
+    def backprop(g, need_gx):
+        gw = (_channels_last(g).T @ _channels_last(xs)).reshape(weight.shape)
+        if not need_gx:
+            return None, gw
+        gxs = np.matmul(wmat.T, g.reshape(n, oc, oh * ow)).reshape(n, c, oh, ow)
+        if stride == 1:
+            return gxs, gw
+        gx = np.zeros(x.shape, dtype=gxs.dtype)
+        gx[:, :, ::stride, ::stride] = gxs
+        return gx, gw
+
+    return out, backprop
+
+
+def _channels_last(a):
+    """An NCHW array as contiguous [n*h*w, c] rows."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).reshape(-1, a.shape[1])
 
 
 def _tap_conv(x, weight, b, padding):
@@ -268,22 +331,31 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         running_var *= 1.0 - BN_MOMENTUM
         running_var += BN_MOMENTUM * var * (m / (m - 1.0))
 
-    out = gamma.data.reshape(chan) * xhat + beta.data.reshape(chan)
+    # gamma * xhat + beta, written over xhat: backward recomputes xhat
+    out = np.multiply(gamma.data.reshape(chan), xhat, out=xhat)
+    out += beta.data.reshape(chan)
     if relu:
         np.maximum(out, 0, out=out)
 
     def grad_fn(g):
+        # invstd/m * (m*gxhat - sum(gxhat) - xhat * sum(gxhat*xhat)), gxhat = g*gamma,
+        # with the same ufuncs in the same order as that expression, written into
+        # xhat, one spare buffer and gx; `g` itself is never written
+        xhat = x.data - shift.reshape(chan)
+        xhat *= invstd.reshape(chan)
+        tmp = np.empty_like(xhat)
         if relu:
-            g = g * (out > 0)
-        xhat = (x.data - shift.reshape(chan)) * invstd.reshape(chan)
+            g = np.multiply(g, out > 0, out=tmp)
         gbeta = g.sum(axis=(0, 2, 3))
-        ggamma = (g * xhat).sum(axis=(0, 2, 3))
-        gxhat = g * gamma.data.reshape(chan)
-        gx = (invstd.reshape(chan) / m) * (
-            m * gxhat
-            - gxhat.sum(axis=(0, 2, 3), keepdims=True)
-            - xhat * (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-        )
+        gx = g * gamma.data.reshape(chan)
+        ggamma = np.multiply(g, xhat, out=tmp).sum(axis=(0, 2, 3))
+        gxhat_sum = gx.sum(axis=(0, 2, 3), keepdims=True)
+        proj = np.multiply(gx, xhat, out=tmp).sum(axis=(0, 2, 3), keepdims=True)
+        np.multiply(m, gx, out=gx)
+        gx -= gxhat_sum
+        xhat *= proj
+        gx -= xhat
+        np.multiply(invstd.reshape(chan) / m, gx, out=gx)
         return gx, ggamma, gbeta
 
     return record("batch_norm", (x, gamma, beta), out, grad_fn)

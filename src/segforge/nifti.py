@@ -150,8 +150,11 @@ def write_nifti(path: str | os.PathLike, volume: np.ndarray,
 
     with open_output(path) as fh:
         if str(path).endswith(".gz"):
-            # the gzip header names `path`, not the temporary file written
-            with gzip.GzipFile(os.fspath(path), mode="wb", fileobj=fh, mtime=0) as gz:
+            # the gzip header names `path`, not the temporary file written. Level 1,
+            # nibabel's, wrote a 155x240x240 float32 volume in 0.69 s against 1.16 s
+            # at level 9 (2 vCPU), for 2% more bytes
+            with gzip.GzipFile(os.fspath(path), mode="wb", fileobj=fh, mtime=0,
+                               compresslevel=1) as gz:
                 gz.write(hdr)
                 write_array(gz, arr)
         else:

@@ -174,6 +174,38 @@ def reference_eval_conv_bn(conv, bn, x, training, relu=False):
     return Tensor(np.maximum(y, 0.0) if relu else y)
 
 
+def reference_batch_norm(x, gamma, beta, running_mean, running_var, g, relu=False):
+    """Train-mode batch norm on arrays, one fresh array per step: (out, gx, ggamma, gbeta).
+
+    The formula batch_norm had before its rule wrote into reused buffers, for
+    upstream gradient g; the running stats are updated in place as the
+    package does. The package must reproduce every byte.
+    """
+    chan = (1, x.shape[1], 1, 1)
+    m = x.size // x.shape[1]
+    mu = x.mean(axis=(0, 2, 3))
+    var = x.var(axis=(0, 2, 3))
+    invstd = 1.0 / np.sqrt(var + BN_EPS)
+    running_mean *= 1.0 - 0.1
+    running_mean += 0.1 * mu
+    running_var *= 1.0 - 0.1
+    running_var += 0.1 * var * (m / (m - 1.0))
+    xhat = (x - mu.reshape(chan)) * invstd.reshape(chan)
+    out = gamma.reshape(chan) * xhat + beta.reshape(chan)
+    if relu:
+        out = np.maximum(out, 0)
+        g = g * (out > 0)
+    gbeta = g.sum(axis=(0, 2, 3))
+    ggamma = (g * xhat).sum(axis=(0, 2, 3))
+    gxhat = g * gamma.reshape(chan)
+    gx = (invstd.reshape(chan) / m) * (
+        m * gxhat
+        - gxhat.sum(axis=(0, 2, 3), keepdims=True)
+        - xhat * (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+    )
+    return out, gx, ggamma, gbeta
+
+
 # ---------------------------------------------------------------------------
 # metric oracles (pure python int counting)
 
@@ -308,7 +340,7 @@ def reference_svol_bytes(array):
 
 
 def reference_nifti_bytes(volume, spacing=None, gz_path=None):
-    """A NIfTI-1 file of a [D, H, W] volume, gzipped at level 9 when `gz_path` names it."""
+    """A NIfTI-1 file of a [D, H, W] volume, gzipped at level 1 when `gz_path` names it."""
     codes = {np.dtype("u1"): 2, np.dtype("i2"): 4, np.dtype("f4"): 16, np.dtype("u2"): 512}
     arr = np.ascontiguousarray(volume)
     if arr.dtype not in codes:
@@ -329,7 +361,8 @@ def reference_nifti_bytes(volume, spacing=None, gz_path=None):
     if gz_path is None:
         return payload
     buf = io.BytesIO()
-    with gzip.GzipFile(os.fspath(gz_path), mode="wb", fileobj=buf, mtime=0) as gz:
+    with gzip.GzipFile(os.fspath(gz_path), mode="wb", fileobj=buf, mtime=0,
+                       compresslevel=1) as gz:
         gz.write(payload)
     return buf.getvalue()
 

@@ -1,20 +1,23 @@
 """Layer library: value oracles, gradient checks, contract errors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from segforge.errors import ContractError, ShapeError
 from segforge import layers
-from segforge.layers import (TAP_MIN_PLANE, BatchNorm2d, Conv2d, Dense, Module,
-                             _centred_var, _cols_to_image, _image_to_cols, batch_norm,
-                             concat_channels, conv2d, conv_out_size, dense, global_avg_pool,
-                             maxpool2d, upsample_nearest)
-from segforge.model import conv_bn
-from segforge.tensor import Tensor, backward, mul, no_grad, relu
+from segforge.layers import (POINTWISE_MIN_PLANE, TAP_MIN_PLANE, BatchNorm2d, Conv2d, Dense,
+                             Module, _centred_var, _cols_to_image, _im2col_conv, _image_to_cols,
+                             batch_norm, concat_channels, conv2d, conv_out_size, dense,
+                             global_avg_pool, maxpool2d, upsample_nearest)
+from segforge.model import PRESETS, build_model, conv_bn
+from segforge.tensor import (Tensor, _tape, add, backward, div, log_softmax, matmul, mul,
+                             no_grad, relu, reshape, sigmoid, softmax, sub)
 
 from oracles import (grad_check, naive_conv2d, naive_conv2d_input_grad, naive_maxpool2d,
-                     nchw_cols_to_image, reference_conv2d, reference_eval_conv_bn,
-                     window_im2col)
+                     nchw_cols_to_image, reference_batch_norm, reference_conv2d,
+                     reference_eval_conv_bn, window_im2col)
 
 
 def randt(seed, *dims, scale=1.0):
@@ -127,7 +130,8 @@ class TestIm2colLowering:
     @pytest.mark.parametrize("kernel,stride,padding", [(1, 1, 0), (1, 2, 0), (3, 1, 1),
                                                        (3, 2, 1), (3, 1, 0), (7, 2, 3)])
     def test_conv2d_forward_and_backward_equal_reference(self, kernel, stride, padding, dtype):
-        assert 12 * 10 < TAP_MIN_PLANE   # every case runs on im2col
+        # no case runs on taps; the 1x1 ones run channel-major and must still match
+        assert 12 * 10 < TAP_MIN_PLANE
         rng = np.random.default_rng(kernel + stride + padding)
         for bias in (True, False):
             x = Tensor(rng.standard_normal((2, 16, 12, 10)).astype(dtype), requires_grad=True)
@@ -145,12 +149,12 @@ class TestIm2colLowering:
                 assert np.array_equal(b.grad, want[3])
 
 
-def conv_and_grads(x, w, b, padding, g):
-    """conv2d's output and (gx, gw, gb) for upstream gradient g, stride 1."""
+def conv_and_grads(x, w, b, padding, g, stride=1):
+    """conv2d's output and (gx, gw, gb) for upstream gradient g."""
     xt = Tensor(x, requires_grad=True)
     wt = Tensor(w, requires_grad=True)
     bt = Tensor(b, requires_grad=True) if b is not None else None
-    out = conv2d(xt, wt, bt, 1, padding)
+    out = conv2d(xt, wt, bt, stride, padding)
     backward(mul(out, Tensor(g)).sum())   # upstream gradient into conv2d is exactly g
     return out.data, xt.grad, wt.grad, bt.grad if b is not None else None
 
@@ -201,21 +205,127 @@ class TestTapLowering:
             raise AssertionError("im2col called")
         monkeypatch.setattr(layers, "_image_to_cols", no_im2col)
         rng = np.random.default_rng(0)
-        # the desk decoder's shapes take the tap path, forward and backward
-        for c, oc, side in [(16, 8, 64), (8, 8, 64), (32, 16, 32), (96, 16, 16)]:
+        # the desk decoder's shapes take the tap path, and its head the channel-major
+        # 1x1 one, forward and backward
+        for c, oc, side, k in [(16, 8, 64, 3), (8, 8, 64, 3), (32, 16, 32, 3), (96, 16, 16, 3),
+                               (16, 8, 64, 1)]:
             x = Tensor(rng.standard_normal((4, c, side, side)).astype(np.float32),
                        requires_grad=True)
-            w = Tensor(rng.standard_normal((oc, c, 3, 3)).astype(np.float32), requires_grad=True)
-            backward(conv2d(x, w, padding=1).sum())
+            w = Tensor(rng.standard_normal((oc, c, k, k)).astype(np.float32), requires_grad=True)
+            backward(conv2d(x, w, padding=k // 2).sum())
             assert x.grad.shape == x.shape and w.grad.shape == w.shape
-        # small planes, strided and 1x1 convs stay on im2col
+        # small planes, strided 3x3 convs and 1x1 convs with 2x2 outputs stay on im2col
         for shape, w, stride in [((4, 32, 8, 8), (32, 32, 3, 3), 1),
                                  ((4, 16, 15, 17), (8, 16, 3, 3), 1),
                                  ((4, 16, 64, 64), (8, 16, 3, 3), 2),
-                                 ((4, 16, 64, 64), (8, 16, 1, 1), 1)]:
+                                 ((4, 128, 2, 2), (512, 128, 1, 1), 1)]:
             with pytest.raises(AssertionError, match="im2col called"):
                 conv2d(Tensor(np.zeros(shape, np.float32)), Tensor(np.zeros(w, np.float32)),
                        stride=stride, padding=w[2] // 2)
+
+
+class TestPointwiseLowering:
+    """Unpadded 1x1 convs with output planes of POINTWISE_MIN_PLANE pixels and up."""
+
+    # the lowering itself, on output planes from 4x4 up, below the floor included
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("stride,h,w", [(1, 4, 4), (1, 5, 7), (1, 9, 8),
+                                            (2, 7, 8), (2, 8, 8), (2, 17, 15)])
+    def test_matches_naive_oracle_exactly(self, stride, h, w, bias):
+        seed = stride * 100 + h * w
+        x = int_valued(seed, 2, 5, h, w)
+        wt = int_valued(seed + 1, 3, 5, 1, 1)
+        b = int_valued(seed + 2, 3) if bias else None
+        g = int_valued(seed + 3, 2, 3, conv_out_size(h, 1, stride, 0),
+                       conv_out_size(w, 1, stride, 0))
+        out, backprop = layers._pointwise_conv(x, wt, b, stride)
+        gx, gw = backprop(g, True)
+        assert np.array_equal(out, naive_conv2d(x, wt, b, stride, 0))
+        assert np.array_equal(gx, naive_conv2d_input_grad(g, wt, x.shape, stride, 0))
+        assert np.array_equal(gw, reference_conv2d(x, wt, b, stride, 0, g)[2])
+        for a in (out, gx, gw):
+            assert a.flags.c_contiguous
+        no_gx, gw_alone = backprop(g, False)
+        assert no_gx is None and gw_alone.tobytes() == gw.tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_gradients(self, stride):
+        x = randt(0, 2, 3, 16, 17)
+        w = randt(1, 4, 3, 1, 1)
+        b = randt(2, 4)
+        err = grad_check(lambda: conv2d(x, w, b, stride=stride).sum(), [x, w, b])
+        assert err < 1e-4, f"rel err {err}"
+
+    @staticmethod
+    def model_shapes(config, n, side):
+        """(input, weight, stride) of every distinct conv the 1x1 path takes in one forward."""
+        shapes = set()
+        real = layers._pointwise_conv
+
+        def spy(x, weight, b, stride):
+            shapes.add((x.shape, weight.shape, stride))
+            return real(x, weight, b, stride)
+
+        model = build_model(config)
+        x = Tensor(np.zeros((n, config.in_channels, side, side), np.float32))
+        with pytest.MonkeyPatch.context() as m, no_grad():
+            m.setattr(layers, "_pointwise_conv", spy)
+            model(x)
+        return sorted(shapes)
+
+    def test_model_shapes_equal_im2col_bytes(self):
+        # the two lowerings call differently shaped GEMMs, so equal bytes are a property
+        # of the BLAS build (they hold with scipy-openblas 0.3.31); this test says
+        # whether a build keeps them. Blocks after the first of a stage repeat its
+        # second block's shapes, so two blocks per stage meet every 1x1 shape of the
+        # full preset.
+        full = dataclasses.replace(PRESETS["full"], stage_depths=(2, 2, 2, 2))
+        shapes = self.model_shapes(full, 2, 128)
+        shapes += [s for n in (1, 2, 3, 4) for s in self.model_shapes(PRESETS["desk"], n, 64)]
+        assert len(shapes) == 13 + 4 * 7   # distinct shapes: 13 in the full preset, 7 in the desk
+        rng = np.random.default_rng(7)
+        for xshape, wshape, stride in shapes:
+            x, w = (rng.standard_normal(s).astype(np.float32) for s in (xshape, wshape))
+            b = rng.standard_normal(wshape[0]).astype(np.float32)
+            got = layers._pointwise_conv(x, w, b, stride)
+            osize = got[0].shape[2:]
+            want = _im2col_conv(x, w, b, osize, stride, 0)
+            g = rng.standard_normal(got[0].shape).astype(np.float32)
+            for a, r in zip((got[0], *got[1](g, True)), (want[0], *want[1](g, True))):
+                assert a.dtype == r.dtype and a.tobytes() == r.tobytes(), (xshape, wshape)
+
+    def test_dispatch_by_output_plane(self, monkeypatch):
+        calls = []
+
+        def spy(name):
+            real = getattr(layers, name)
+
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+            return counted
+
+        for name in ("_image_to_cols", "_cols_to_image"):
+            monkeypatch.setattr(layers, name, spy(name))
+
+        def run(xshape, wshape, stride, padding=0):
+            calls.clear()
+            x = Tensor(np.ones(xshape, np.float32), requires_grad=True)
+            w = Tensor(np.ones(wshape, np.float32), requires_grad=True)
+            backward(conv2d(x, w, stride=stride, padding=padding).sum())
+            return sorted(set(calls))
+
+        # the floor is on the output plane: 8x8 out of 8x8, 15x15 or 16x16
+        assert POINTWISE_MIN_PLANE == 64
+        for xshape, stride in [((2, 8, 8, 8), 1), ((2, 8, 15, 15), 2), ((2, 8, 16, 16), 2),
+                               ((2, 8, 4, 16), 1), ((4, 16, 64, 64), 1)]:
+            assert run(xshape, (4, xshape[1], 1, 1), stride) == []
+        # 2x2, 4x4 and 7x7 output planes and a padded 1x1 stay on im2col
+        for xshape, stride, padding in [((4, 128, 2, 2), 1, 0), ((2, 8, 4, 4), 1, 0),
+                                        ((2, 8, 8, 8), 2, 0), ((2, 8, 14, 13), 2, 0),
+                                        ((2, 8, 8, 8), 1, 1)]:
+            assert run(xshape, (4, xshape[1], 1, 1), stride, padding) == \
+                ["_cols_to_image", "_image_to_cols"]
 
 
 class TestMaxPool:
@@ -382,6 +492,30 @@ class TestBatchNorm:
                 [x, gamma, beta])
             assert err < 1e-4, f"seed {seed}: {err}"
 
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", DESK_BN_SHAPES + [(2, 64, 64, 64), (2, 2048, 4, 4)])
+    def test_equals_reference_formula(self, shape, dtype, relu):
+        c = shape[1]
+        rng = np.random.default_rng(c * shape[2] + relu)
+        x = rng.normal(0.5, 2.0, shape).astype(dtype)
+        gamma = rng.uniform(0.5, 1.5, c).astype(dtype)
+        beta = rng.normal(0, 0.3, c).astype(dtype)
+        stats = (rng.normal(0, 0.3, c).astype(dtype), rng.uniform(0.5, 2.0, c).astype(dtype))
+        g = rng.normal(0, 1, shape).astype(dtype)
+        xt = Tensor(x, requires_grad=True)
+        gt = Tensor(gamma, requires_grad=True)
+        bt = Tensor(beta, requires_grad=True)
+        rm, rv = stats[0].copy(), stats[1].copy()
+        y = batch_norm(xt, gt, bt, rm, rv, relu=relu)
+        out = y.data.copy()
+        backward(mul(y, Tensor(g)).sum())   # upstream gradient into batch_norm is exactly g
+        want_rm, want_rv = stats[0].copy(), stats[1].copy()
+        want = reference_batch_norm(x, gamma, beta, want_rm, want_rv, g, relu=relu)
+        got = (out, xt.grad, gt.grad, bt.grad, rm, rv)
+        for a, r in zip(got, want + (want_rm, want_rv)):
+            assert a.dtype == dtype and a.tobytes() == r.tobytes()
+
     def test_needs_two_values_per_channel_in_train_mode(self):
         x = Tensor(np.zeros((1, 3, 1, 1), dtype=np.float32))
         gamma = Tensor(np.ones(3, dtype=np.float32))
@@ -496,3 +630,64 @@ class TestModuleWalking:
         buf_names = [n for n, _ in net.named_buffers()]
         assert buf_names == ["blocks.0.bn.running_mean", "blocks.0.bn.running_var",
                              "blocks.1.bn.running_mean", "blocks.1.bn.running_var"]
+
+
+def positive(seed, *dims):
+    return Tensor(np.random.default_rng(seed).uniform(0.5, 1.5, dims), requires_grad=True)
+
+
+# one case per gradient rule: conv2d on each lowering, batch_norm with and without relu
+READ_ONLY_CASES = {
+    "conv2d_im2col": lambda: conv2d(randt(0, 2, 3, 9, 9), randt(1, 4, 3, 3, 3), randt(2, 4),
+                                    stride=2, padding=1),
+    "conv2d_im2col_1x1": lambda: conv2d(randt(0, 2, 8, 2, 2), randt(1, 4, 8, 1, 1), randt(2, 4)),
+    "conv2d_taps": lambda: conv2d(randt(0, 2, 3, 16, 16), randt(1, 4, 3, 3, 3), randt(2, 4),
+                                  padding=1),
+    "conv2d_pointwise": lambda: conv2d(randt(0, 2, 8, 8, 8), randt(1, 4, 8, 1, 1), randt(2, 4)),
+    "conv2d_pointwise_stride2": lambda: conv2d(randt(0, 2, 8, 16, 15), randt(1, 4, 8, 1, 1),
+                                               stride=2),
+    "batch_norm": lambda: batch_norm(randt(0, 2, 3, 4, 4), positive(1, 3), positive(2, 3),
+                                     np.zeros(3), np.ones(3)),
+    "batch_norm_relu": lambda: batch_norm(randt(0, 2, 3, 4, 4), positive(1, 3), positive(2, 3),
+                                          np.zeros(3), np.ones(3), relu=True),
+    "maxpool2d": lambda: maxpool2d(randt(0, 2, 3, 6, 6), 3, stride=2, padding=1),
+    "global_avg_pool": lambda: global_avg_pool(randt(0, 2, 3, 4, 4)),
+    "upsample_nearest": lambda: upsample_nearest(randt(0, 2, 3, 4, 4), 2),
+    "concat_channels": lambda: concat_channels(randt(0, 2, 3, 4, 4), randt(1, 2, 2, 4, 4)),
+    "add": lambda: add(randt(0, 2, 3, 4, 4), randt(1, 1, 3, 1, 1)),
+    "sub": lambda: sub(randt(0, 2, 3, 4, 4), randt(1, 2, 3, 1, 1)),
+    "mul": lambda: mul(randt(0, 2, 3, 4, 4), randt(1, 1, 3, 1, 1)),
+    "div": lambda: div(randt(0, 2, 3), positive(1, 2, 3)),
+    "scalar_affine": lambda: randt(0, 2, 3) * 2.0,
+    "relu": lambda: relu(randt(0, 2, 3, 4, 4)),
+    "sigmoid": lambda: sigmoid(randt(0, 2, 3, 4, 4)),
+    "matmul": lambda: matmul(randt(0, 2, 3), randt(1, 3, 4)),
+    "sum": lambda: randt(0, 2, 3, 4, 4).sum(axis=(0, 2, 3), keepdims=True),
+    "mean": lambda: randt(0, 2, 3, 4, 4).mean(),
+    "reshape": lambda: reshape(randt(0, 2, 3, 4, 4), (6, 16)),
+    "softmax": lambda: softmax(randt(0, 2, 3, 4, 4)),
+    "log_softmax": lambda: log_softmax(randt(0, 2, 3, 4, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READ_ONLY_CASES))
+def test_gradient_rule_leaves_its_upstream_gradient_unwritten(name):
+    """The tape invariant of `tensor.backward`: no rule writes into its `g`.
+
+    `add` hands one gradient array to both its inputs, so a rule that wrote
+    into its `g` would change another gradient. The rule runs on a read-only
+    `g`, where any write raises, and must return what it returns on a copy.
+    """
+    try:
+        out = READ_ONLY_CASES[name]()
+        node = _tape()[-1]
+    finally:
+        _tape().clear()
+    assert node.output is out
+    g = np.random.default_rng(3).normal(0, 1, out.shape)
+    want = node.grad_fn(g.copy())
+    g.setflags(write=False)
+    got = node.grad_fn(g)
+    assert len(got) == len(want)
+    for a, r in zip(got, want):
+        assert (a is None and r is None) or a.tobytes() == r.tobytes()
