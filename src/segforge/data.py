@@ -15,9 +15,12 @@ of it.
 
 Everything is deterministic: synthetic cases are pure functions of their
 seed, and splits are pure functions of (ids, fraction, seed). `load_case`
-decodes a case's files on one thread each. Training loads every case up
-front (`load_data_root`); evaluation loads one case at a time
-(`case_loaders`), so it holds a single case in memory.
+decodes a case's files on one thread each. Given a crop, it streams each
+file a slab of whole z-slices at a time into what slicing needs: the crop
+window, and each modality's whole-volume stats. So training on a directory
+root (`load_data_root`) holds only every case's windows, and evaluation
+and prediction, which load one case at a time (`case_loaders`), never hold
+a whole volume of a case.
 """
 
 from __future__ import annotations
@@ -43,17 +46,30 @@ MIN_FOREGROUND_DEFAULT = 0.001
 SYNTH_MIN_DIMS = (8, 64, 64)
 
 
+@dataclass(frozen=True)
+class CropWindow:
+    """Where a sample cut to its crop windows sits in its case."""
+    dims: tuple[int, int, int]                             # the whole case's [D,H,W]
+    crop: tuple[int, int]
+    stats: dict[str, Optional[tuple[np.float64, float]]]   # whole-volume nonzero mean, std
+
+
 @dataclass
 class VolumeSample:
-    """One case: raw (unnormalized) modality volumes plus its label volume."""
+    """One case: raw (unnormalized) modality volumes plus its label volume.
+
+    With `window`, every volume is only its crop window, `[D,ch,cw]`, and
+    the window holds what slicing needs of the rest.
+    """
     modalities: dict[str, np.ndarray]   # each [D,H,W] float32
     label: np.ndarray                   # [D,H,W] uint8, values in {0,1,2,3}
     case_id: str
     spacing: Optional[tuple[float, float, float]] = None
+    window: Optional[CropWindow] = None
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        return self.label.shape
+        return self.label.shape if self.window is None else self.window.dims
 
 
 @dataclass
@@ -102,14 +118,17 @@ def _squared_deviation_sum(vals: np.ndarray, centre: np.ndarray) -> np.float64:
 
 
 def _nonzero_stats(vol: np.ndarray):
-    """Mean and std (floored at 1e-8) of the nonzero voxels; None when there are none.
+    """Mean and std (floored at 1e-8) of the nonzero voxels; None when there are none."""
+    return _mean_std(vol[vol != 0])
+
+
+def _mean_std(vals: np.ndarray):
+    """Mean and std (floored at 1e-8) of float32 `vals`; None when it is empty.
 
     Both are bit-equal to `vals.mean/std(dtype=np.float64)`, but the std sums
     its squared deviations in pieces of at most STATS_PIECE values, in the
-    tree numpy would add them in, so no float64 copy of every nonzero voxel
-    is made.
+    tree numpy would add them in, so no float64 copy of the values is made.
     """
-    vals = vol[vol != 0]
     if not vals.size:
         return None
     mean = vals.mean(dtype=np.float64)
@@ -145,6 +164,64 @@ def crop_offsets(shape_hw: tuple[int, int], crop: tuple[int, int]) -> tuple[int,
     return (h - ch) // 2, (w - cw) // 2
 
 
+def _window_origin(dims, crop, source) -> tuple[int, int]:
+    """The crop window's top-left corner in the planes of a volume of `dims`."""
+    if len(dims) != 3:
+        raise DataError(f"expected a 3D volume, got dims {list(dims)} in {source}")
+    return crop_offsets(dims[1:], crop)
+
+
+def _modality_window(crop, source, dims, slabs):
+    """`(dims, window, stats)` of a modality that `slabs` yield, a run of whole z-slices each.
+
+    The window is the volume's crop window as float32. Each slab's nonzero
+    voxels are appended in order to one compact buffer, and the stats are
+    `_mean_std` of it: those of every nonzero voxel of the volume. `source`
+    names the volume in errors.
+    """
+    ch, cw = crop
+    oh, ow = _window_origin(dims, crop, source)
+    window = np.empty((dims[0], ch, cw), dtype=np.float32)
+    nonzero = np.empty(0, dtype=np.float32)
+    for z0, slab in slabs:
+        slab = slab.astype(np.float32, copy=False)
+        window[z0:z0 + len(slab)] = slab[:, oh:oh + ch, ow:ow + cw]
+        n = nonzero.size
+        # grown to fit exactly, with no array made after it alive across the
+        # resize, so realloc can extend it in place: a case's modalities are
+        # read at once, and slack or moved copies would add up
+        nonzero.resize(n + np.count_nonzero(slab != 0), refcheck=False)
+        nonzero[n:] = slab[slab != 0]
+    slab = None   # the read buffer goes before the stats allocate theirs
+    return dims, window, _mean_std(nonzero)
+
+
+def cut_to_crop(sample: VolumeSample, crop: tuple[int, int]) -> VolumeSample:
+    """`sample` cut to its crop windows, as `load_case(..., crop=crop)` reads it.
+
+    A whole sample's windows are views of its volumes, and its stats are
+    `_nonzero_stats` of each whole volume: the same values, in the same
+    order, that a streamed read gathers. A sample already cut is returned
+    as it is; cut to another crop, it is a ContractError.
+    """
+    crop = tuple(crop)
+    if sample.window is not None:
+        if sample.window.crop != crop:
+            raise ContractError(f"case {sample.case_id} is cut to the crop "
+                                f"{sample.window.crop}, not {crop}")
+        return sample
+    ch, cw = crop
+    oh, ow = _window_origin(sample.dims, crop, sample.case_id)
+    window = np.s_[:, oh:oh + ch, ow:ow + cw]
+    vols = sample.modalities
+    return VolumeSample(
+        modalities={m: vols[m][window].astype(np.float32, copy=False) for m in MODALITIES},
+        label=sample.label[window], case_id=sample.case_id, spacing=sample.spacing,
+        window=CropWindow(tuple(sample.dims), crop,
+                          {m: _nonzero_stats(np.asarray(vols[m], dtype=np.float32))
+                           for m in MODALITIES}))
+
+
 def extract_slices(sample: VolumeSample, crop: tuple[int, int] = DEFAULT_CROP,
                    min_foreground_fraction: float = 0.0) -> SliceBatch:
     """Normalize, center-crop and slice a case along the depth axis.
@@ -153,21 +230,17 @@ def extract_slices(sample: VolumeSample, crop: tuple[int, int] = DEFAULT_CROP,
     inside the crop window, and written as one channel of the stacked
     images. Slices whose foreground (label > 0) fraction falls below the
     threshold are dropped; training passes a small positive threshold while
-    evaluation passes 0.0 to keep every slice.
+    evaluation passes 0.0 to keep every slice. A whole sample is cut first
+    (`cut_to_crop`), so both kinds of sample take the same arithmetic.
     """
+    cut = cut_to_crop(sample, crop)
     ch, cw = crop
-    oh, ow = crop_offsets(sample.dims[1:], crop)
-    labels = sample.label[:, oh:oh + ch, ow:ow + cw]
-    keep = np.flatnonzero(np.count_nonzero(labels, axis=(1, 2)) / (ch * cw)
+    keep = np.flatnonzero(np.count_nonzero(cut.label, axis=(1, 2)) / (ch * cw)
                           >= min_foreground_fraction)
-    stats = [_nonzero_stats(np.asarray(sample.modalities[m], dtype=np.float32))
-             for m in MODALITIES]
-    # allocated only now, once the stats' whole-volume temporaries are freed
     images = np.empty((len(keep), len(MODALITIES), ch, cw), dtype=np.float32)
     for i, m in enumerate(MODALITIES):
-        kept = sample.modalities[m][keep, oh:oh + ch, ow:ow + cw].astype(np.float32, copy=False)
-        images[:, i] = _zscore(kept, stats[i])
-    return SliceBatch(images=images, labels=labels[keep])
+        images[:, i] = _zscore(cut.modalities[m][keep], cut.window.stats[m])
+    return SliceBatch(images=images, labels=cut.label[keep])
 
 
 def make_batch(slices: SliceBatch, index) -> SliceBatch:
@@ -192,9 +265,12 @@ def _is_svol(path) -> bool:
     raise ConfigError(f"unknown volume extension on {path} (use .nii, .nii.gz or .svol)")
 
 
-def read_volume(path: str | Path) -> np.ndarray:
-    """Load a .nii, .nii.gz or .svol volume; any other suffix is a ConfigError."""
-    return read_svol(path) if _is_svol(path) else read_nifti(path)
+def read_volume(path: str | Path, sink=None):
+    """Load a .nii, .nii.gz or .svol volume; any other suffix is a ConfigError.
+
+    With `sink`, return `sink(dims, slabs)` instead, as `read_nifti` does.
+    """
+    return read_svol(path, sink) if _is_svol(path) else read_nifti(path, sink)
 
 
 def write_volume(path: str | Path, volume: np.ndarray,
@@ -219,24 +295,85 @@ def _find_modality_file(case_dir: Path, case_id: str, name: str) -> Optional[Pat
     return None
 
 
-def _label_volume(raw: np.ndarray, path: Path) -> np.ndarray:
-    """The segmentation volume read from `path` as uint8 {0,1,2,3}; raw label 4 becomes 3."""
-    if raw.dtype.kind == "f":
-        rounded = np.rint(raw)
-        if not np.array_equal(rounded, raw):
-            raise DataError(f"non-integer label values in {path}")
-        raw = rounded.astype(np.int32)
-    values = np.unique(raw)
+# label values per np.bincount, which casts them to intp: 256 KiB of it at a
+# time, small next to a modality's read buffer
+LABEL_PIECE = 1 << 15
+
+
+def _label_values(raw: np.ndarray, path) -> set[int]:
+    """Every value in label array `raw`, counted LABEL_PIECE values at a time, without a sort.
+
+    Non-integer float labels are a DataError.
+    """
+    flat = raw.reshape(-1)
+    values = set()
+    for lo in range(0, flat.size, LABEL_PIECE):
+        piece = flat[lo:lo + LABEL_PIECE]
+        if piece.dtype.kind == "f":
+            rounded = np.rint(piece)
+            if not np.array_equal(rounded, piece):
+                raise DataError(f"non-integer label values in {path}")
+            piece = rounded.astype(np.int32)
+        if piece.min() >= 0 and piece.max() < LABEL_PIECE:
+            present = np.flatnonzero(np.bincount(piece))
+        else:   # a negative or far value, which _remapped_labels refuses
+            present = np.unique(piece)
+        values.update(present.tolist())
+    return values
+
+
+def _remapped_labels(kept: np.ndarray, values: set[int], path) -> np.ndarray:
+    """`kept`, part or all of the seg at `path` whose `values` are given, as uint8 {0,1,2,3}.
+
+    The allowed set is {0,1,2,4} when the volume holds a 4, else {0,1,2,3};
+    any other value, kept or not, is a DataError. Raw 4 becomes 3, in place
+    when `kept` is already uint8.
+    """
     allowed = RAW_LABELS if 4 in values else range(NUM_CLASSES)
-    bad = [int(v) for v in values if int(v) not in allowed]
+    bad = sorted(v for v in values if v not in allowed)
     if bad:
         raise DataError(f"label value(s) {bad} outside {sorted(allowed)} in {path}")
+    labels = kept.astype(np.uint8, copy=False)
     if 4 in values:
-        raw = np.where(raw == 4, 3, raw)
-    return raw.astype(np.uint8, copy=False)
+        labels[labels == 4] = 3
+    return labels
 
 
-def load_case(root: str | Path, case_id: str, require_seg: bool = True) -> VolumeSample:
+def _label_window(crop, path, dims, slabs):
+    """`(dims, window, None)` of the seg that `slabs` yield: its crop window as uint8 {0,1,2,3}.
+
+    Every slab's values are checked, so a bad value outside the window is
+    an error too.
+    """
+    ch, cw = crop
+    oh, ow = _window_origin(dims, crop, path)
+    window = np.empty((dims[0], ch, cw), dtype=np.uint8)
+    values = set()
+    for z0, slab in slabs:
+        values |= _label_values(slab, path)
+        with np.errstate(invalid="ignore"):   # a value uint8 cannot hold is refused below
+            window[z0:z0 + len(slab)] = slab[:, oh:oh + ch, ow:ow + cw]
+    return dims, _remapped_labels(window, values, path), None
+
+
+def _read_case_file(path: Path, name: str, crop):
+    """`(dims, volume, stats)` of one file of a case: modalities float32, the seg uint8.
+
+    Without `crop`, the volume is whole and stats is None. With it, the file
+    is read a slab at a time into its crop window (`_modality_window`,
+    `_label_window`).
+    """
+    if crop is not None:
+        cut = _label_window if name == "seg" else _modality_window
+        return read_volume(path, functools.partial(cut, crop, path))
+    vol = read_volume(path)
+    if name == "seg":
+        return vol.shape, _remapped_labels(vol, _label_values(vol, path), path), None
+    return vol.shape, (vol if vol.dtype.kind == "f" else vol.astype(np.float32)), None
+
+
+def load_case(root: str | Path, case_id: str, require_seg: bool = True,
+              crop: Optional[tuple[int, int]] = None) -> VolumeSample:
     """Assemble one case from disk, cross-checking dims across files.
 
     The case's files are decoded concurrently, one thread each; errors are
@@ -244,47 +381,60 @@ def load_case(root: str | Path, case_id: str, require_seg: bool = True) -> Volum
     containing the raw value 4 are remapped to {0,1,2,3}; volumes already in
     the contiguous convention are validated and kept bit-exact. Without
     require_seg, no seg file is read and the label is all zero.
+
+    With `crop`, each file is decoded a slab of whole z-slices at a time
+    into the sample `cut_to_crop` would make of the whole case: every volume
+    cut to its crop window, each modality's whole-volume stats, and the
+    dims the headers give. No whole volume is held.
     """
     case_dir = Path(root) / case_id
     if not case_dir.is_dir():
         raise DataError(f"case directory not found: {case_dir}")
+    crop = None if crop is None else tuple(crop)
 
     names = (*MODALITIES, "seg") if require_seg else MODALITIES
     paths = {name: _find_modality_file(case_dir, case_id, name) for name in names}
     found = {name: path for name, path in paths.items() if path is not None}
     with ThreadPoolExecutor(max_workers=max(len(found), 1)) as pool:
-        reads = {name: pool.submit(read_volume, path) for name, path in found.items()}
-        modalities: dict[str, np.ndarray] = {}
+        reads = {name: pool.submit(_read_case_file, path, name, crop)
+                 for name, path in found.items()}
+        parts = {}
         for name in MODALITIES:
             if name not in reads:
                 raise DataError(f"missing modality file for '{name}' in {case_dir}")
-            vol = reads[name].result()
-            modalities[name] = np.asarray(vol, dtype=np.float32) if vol.dtype.kind != "f" else vol
+            parts[name] = reads[name].result()
         if "seg" in reads:
-            label = _label_volume(reads["seg"].result(), paths["seg"])
+            parts["seg"] = reads["seg"].result()
         elif require_seg:
             raise DataError(f"missing segmentation file in {case_dir}")
-        else:
-            label = np.zeros(modalities[MODALITIES[0]].shape, dtype=np.uint8)
     spacing = next((read_spacing(paths[name]) for name in MODALITIES
                     if not _is_svol(paths[name])), None)
 
-    dims = modalities[MODALITIES[0]].shape
+    dims = parts[MODALITIES[0]][0]
     for name in MODALITIES:
-        if modalities[name].shape != dims:
+        if parts[name][0] != dims:
             raise DataError(f"dim mismatch for '{name}' in {case_dir}: "
-                            f"{modalities[name].shape} vs {dims}")
-    if label.shape != dims:
-        raise DataError(f"segmentation dims {label.shape} do not match "
-                        f"modalities {dims} in {case_dir}")
+                            f"{parts[name][0]} vs {dims}")
+    if "seg" in parts:
+        if parts["seg"][0] != dims:
+            raise DataError(f"segmentation dims {parts['seg'][0]} do not match "
+                            f"modalities {dims} in {case_dir}")
+        label = parts["seg"][1]
+    else:
+        label = np.zeros(parts[MODALITIES[0]][1].shape, dtype=np.uint8)
 
-    return VolumeSample(modalities=modalities, label=label, case_id=case_id, spacing=spacing)
+    window = None if crop is None else CropWindow(
+        tuple(dims), crop, {name: parts[name][2] for name in MODALITIES})
+    return VolumeSample(modalities={name: parts[name][1] for name in MODALITIES}, label=label,
+                        case_id=case_id, spacing=spacing, window=window)
 
 
 def write_case(sample: VolumeSample, root: str | Path, fmt: str = "nii") -> Path:
     """Write a case to disk in either dataset layout; returns the case dir."""
     if fmt not in ("nii", "svol"):
         raise ConfigError(f"unknown case format '{fmt}' (use nii or svol)")
+    if sample.window is not None:
+        raise ContractError(f"case {sample.case_id} is cut to its crop windows, not whole")
     case_dir = Path(root) / sample.case_id
     make_dirs(case_dir)
     volumes = {name: sample.modalities[name].astype(np.float32, copy=False)
@@ -476,13 +626,20 @@ def synth_dataset(spec: SynthSpec) -> list[VolumeSample]:
     return [make() for make in _synth_loaders(spec).values()]
 
 
-def case_loaders(data_root: str) -> dict[str, Callable[[], VolumeSample]]:
-    """A data root's (directory or `synth:` URI) case ids, each with the call that loads it."""
+def case_loaders(data_root: str, crop: Optional[tuple[int, int]] = None
+                 ) -> dict[str, Callable[[], VolumeSample]]:
+    """A data root's (directory or `synth:` URI) case ids, each with the call that loads it.
+
+    A directory's cases are read cut to `crop` when it is given
+    (`load_case`); synthetic cases are generated whole.
+    """
     if data_root.startswith("synth:"):
         return _synth_loaders(parse_synth_uri(data_root))
-    return {cid: functools.partial(load_case, data_root, cid) for cid in list_cases(data_root)}
+    return {cid: functools.partial(load_case, data_root, cid, crop=crop)
+            for cid in list_cases(data_root)}
 
 
-def load_data_root(data_root: str) -> dict[str, VolumeSample]:
-    """Resolve a data root (directory or `synth:` URI) into loaded cases."""
-    return {cid: load() for cid, load in case_loaders(data_root).items()}
+def load_data_root(data_root: str, crop: Optional[tuple[int, int]] = None
+                   ) -> dict[str, VolumeSample]:
+    """Resolve a data root (directory or `synth:` URI) into loaded cases, as `case_loaders`."""
+    return {cid: load() for cid, load in case_loaders(data_root, crop).items()}

@@ -14,7 +14,9 @@ their path only when complete, so a failed write leaves the old file.
 A `BinaryReader` from `read_binary` decodes every binary file; a format
 module keeps only its layout. Each read is bounded by the file's size before
 anything is allocated, a short one is a FormatError naming the byte offset,
-and payloads are read straight into their arrays, never via a second copy.
+and a payload is read in slabs of whole rows (`BinaryReader.slabs`), either
+straight into its array, never via a second copy, or into one reused
+buffer of about PIECE bytes for a caller that keeps only part of it.
 Writers check everything and build every header first, then `write_array`
 hands each array's own buffer to the file, so a write holds no copy either.
 """
@@ -110,23 +112,52 @@ class BinaryReader:
                               f"in {self.path}") from None
         return nbytes
 
-    def array(self, dtype: np.dtype, dims, field: str, at=None) -> np.ndarray:
-        """The C-order `dtype` array of `dims` next, or from byte `at`, as a native array."""
+    def slabs(self, dtype: np.dtype, dims, field: str, at=None, out=None):
+        """Yield `(lo, slab)` for the C-order `dtype` array of `dims` next, or from byte `at`.
+
+        Each slab holds whole rows `lo:lo + len(slab)` of the first axis, in
+        native byte order. They are read into `out` when it is given, else into
+        one buffer of about PIECE bytes that the next slab reuses. The size is
+        checked against the limit before anything is allocated.
+        """
         start = self.offset if at is None else at
         nbytes = self._payload_size(dtype, dims, field, start)
-        arr = np.empty(dims, dtype=dtype.newbyteorder("="))
         if at is not None:
             self._fh.seek(at)
-        out = arr.reshape(-1).view(np.uint8)
+        shape = tuple(dims) or (1,)   # a 0-d array is one row
+        rows = shape[0]
         done = 0
-        while done < nbytes:
-            n = self._fh.readinto(out[done:done + PIECE])
-            if not n:
-                raise self._truncated(field, start, nbytes, done)
-            done += n
+        if nbytes:
+            per = max(1, PIECE // (nbytes // rows))
+            if out is not None:
+                out = out.reshape(shape)
+            else:
+                buf = np.empty((min(per, rows), *shape[1:]), dtype=dtype.newbyteorder("="))
+            for lo in range(0, rows, per):
+                slab = out[lo:lo + per] if out is not None else buf[:min(per, rows - lo)]
+                raw = slab.reshape(-1).view(np.uint8)
+                got = 0
+                while got < raw.size:
+                    n = self._fh.readinto(raw[got:got + PIECE])
+                    if not n:
+                        raise self._truncated(field, start, nbytes, done + got)
+                    got += n
+                done += got
+                if not dtype.isnative:
+                    slab.byteswap(inplace=True)
+                yield lo, slab
         self.offset = start + nbytes
-        if not dtype.isnative:
-            arr.byteswap(inplace=True)
+
+    def array(self, dtype: np.dtype, dims, field: str, at=None) -> np.ndarray:
+        """The C-order `dtype` array of `dims` next, or from byte `at`, as a native array.
+
+        It is read by `slabs` straight into the result, which is allocated
+        only once the size is checked.
+        """
+        self._payload_size(dtype, dims, field, self.offset if at is None else at)
+        arr = np.empty(dims, dtype=dtype.newbyteorder("="))
+        for _ in self.slabs(dtype, dims, field, at, out=arr):
+            pass
         return arr
 
     def skip(self, dtype: np.dtype, dims, field: str) -> None:

@@ -8,8 +8,9 @@ ordering read in C order.
 
 `read_nifti` checks the whole header, then reads the payload through
 `errors.read_binary`, which bounds it by the file's size before it
-allocates the result and reads it straight into that array. No copy of the
-whole file is ever held.
+allocates anything. An unscaled volume is read straight into its array; a
+scaled one, or one handed to a sink, is decoded a slab of whole z-slices at
+a time. No copy of the whole file is ever held.
 """
 
 from __future__ import annotations
@@ -45,12 +46,43 @@ def _read_header(reader: BinaryReader) -> tuple[bytes, str]:
     raise FormatError(f"bad sizeof_hdr at byte 0, not a NIfTI-1 file: {reader.path}")
 
 
-def read_nifti(path: str | os.PathLike) -> np.ndarray:
+def _scaler(slope: float, inter: float, path):
+    """The map a slab goes through for scl_slope/scl_inter, or None when they ask for none."""
+    if slope == 0.0 or (slope == 1.0 and inter == 0.0):
+        return None
+    if not (math.isfinite(slope) and math.isfinite(inter)):
+        raise FormatError(f"non-finite scl_slope/scl_inter at byte 112 in {path}")
+    slope, inter = np.float32(slope), np.float32(inter)
+
+    def scale(slab: np.ndarray) -> np.ndarray:
+        try:
+            with np.errstate(over="raise"):
+                return slab.astype(np.float32) * slope + inter
+        except FloatingPointError:
+            raise FormatError(f"scl_slope/scl_inter at byte 112 overflow float32 "
+                              f"in {path}") from None
+
+    return scale
+
+
+def _gather(dims, slabs) -> np.ndarray:
+    """The float32 volume of `dims` that `slabs` fill."""
+    vol = np.empty(dims, dtype=np.float32)
+    for lo, slab in slabs:
+        vol[lo:lo + len(slab)] = slab
+    return vol
+
+
+def read_nifti(path: str | os.PathLike, sink=None):
     """Load one 3D volume; scl scaling (when slope is nonzero) yields float32.
 
-    The header is checked before the result is allocated, and the payload is
-    read straight into it. The stream is read to its end, so gzip checks its
-    CRC and length; bytes after the payload are allowed.
+    The header is checked before anything is allocated. An unscaled payload
+    is read straight into the result; a scaled one is read and scaled a slab
+    of whole z-slices at a time into the float32 result. With `sink`, no
+    volume is built: read_nifti returns `sink(dims, slabs)`, where `slabs`
+    yields `(z0, slab)` pairs in order, each slab native and scaled, and held
+    in a buffer the next one may reuse. The stream is read to its end, so
+    gzip checks its CRC and length; bytes after the payload are allowed.
     """
     with read_binary(path, "volume") as reader:
         blob, bo = _read_header(reader)
@@ -90,20 +122,18 @@ def read_nifti(path: str | os.PathLike) -> np.ndarray:
         offset = int(vox_offset)
         if offset < HEADER_SIZE:
             raise FormatError(f"vox_offset {vox_offset} at byte 108 overlaps the header in {path}")
+        scale = _scaler(scl_slope, scl_inter, path)
 
         # x varies fastest on disk, so C order gives [z, y, x] = [D, H, W]
-        vol = reader.array(base.newbyteorder(bo), (nz, ny, nx), "payload", at=offset)
+        dtype, shape = base.newbyteorder(bo), (nz, ny, nx)
+        if sink is None and scale is None:
+            vol = reader.array(dtype, shape, "payload", at=offset)
+        else:
+            slabs = reader.slabs(dtype, shape, "payload", at=offset)
+            if scale is not None:
+                slabs = ((z0, scale(slab)) for z0, slab in slabs)
+            vol = (sink or _gather)(shape, slabs)
         reader.drain(trailing_ok=True)
-
-    if scl_slope != 0.0 and (scl_slope != 1.0 or scl_inter != 0.0):
-        if not (math.isfinite(scl_slope) and math.isfinite(scl_inter)):
-            raise FormatError(f"non-finite scl_slope/scl_inter at byte 112 in {path}")
-        try:
-            with np.errstate(over="raise"):
-                vol = (vol.astype(np.float32) * np.float32(scl_slope) + np.float32(scl_inter))
-        except FloatingPointError:
-            raise FormatError(f"scl_slope/scl_inter at byte 112 overflow float32 "
-                              f"in {path}") from None
     return vol
 
 

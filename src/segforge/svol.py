@@ -3,7 +3,8 @@
 Layout: 8-byte magic ``SVOL0001``, uint32 rank, uint32 dims[rank], uint8
 dtype code (0=float32, 1=uint8, 2=int16), then the raw C-order payload.
 `read_svol` decodes it through `errors.read_binary`, so every fault names
-its byte offset and the payload is read straight into the result.
+its byte offset and the payload is read straight into the result, or a
+slab of whole first-axis rows at a time into a sink.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ def write_svol(path: str | os.PathLike, array: np.ndarray) -> None:
         write_array(fh, arr)
 
 
-def read_svol(path: str | os.PathLike) -> np.ndarray:
+def read_svol(path: str | os.PathLike, sink=None):
+    """Load one svol array; with `sink`, return `sink(dims, slabs)` as `read_nifti` does."""
     with read_binary(path, "volume") as reader:
         if reader.take(len(MAGIC), "magic") != MAGIC:
             raise FormatError(f"not a svol file: {path}")
@@ -59,6 +61,9 @@ def read_svol(path: str | os.PathLike) -> np.ndarray:
         if dtype is None:
             raise FormatError(f"unknown svol dtype code {code} at byte {reader.offset - 1} "
                               f"in {path}")
-        arr = reader.array(dtype, dims, "payload")
+        if sink is None:
+            arr = reader.array(dtype, dims, "payload")
+        else:
+            arr = sink(dims, reader.slabs(dtype, dims, "payload"))
         reader.drain()
     return arr

@@ -275,12 +275,14 @@ def train(cfg: RunConfig, verbose: bool = False) -> dict:
 
     Per epoch: shuffled pass over training slices (forward, loss, backward,
     Adam step), eval-mode pass over validation slices, one curves row per
-    split, last.ckpt always and best.ckpt on improved validation Dice.
+    split, last.ckpt always and best.ckpt on improved validation Dice. A
+    directory root's cases are read cut to the run's crop, so only their
+    windows are held.
     """
     cfg.validate()
     out_dir = Path(cfg.output_dir)
     make_dirs(out_dir)
-    samples = load_data_root(cfg.data_root)
+    samples = load_data_root(cfg.data_root, cfg.crop)
     ids = sorted(samples)
     train_ids, val_ids = _train_val_ids(cfg, ids)
 
@@ -373,16 +375,17 @@ def evaluate(ckpt_path: str, data_root: str, split: str = "val",
     Metrics are computed over the center-cropped field of view the model
     sees, from pixel counts pooled case by case over the predicted and
     reference masks — the same masks that --save-masks writes out. Cases
-    are loaded one at a time, just before each is evaluated. A batch size
-    below 1, or an `out_path` in a missing directory, is refused before the
-    checkpoint is read.
+    are loaded one at a time, just before each is evaluated; a directory's
+    cases are streamed into their crop windows (`load_case(..., crop=...)`),
+    so no whole volume is held. A batch size below 1, or an `out_path` in a
+    missing directory, is refused before the checkpoint is read.
     """
     if out_path:
         check_output_dir(out_path)
     cfg, model = _load_run(ckpt_path, batch_size)
     crop = cfg.crop
 
-    loaders = case_loaders(data_root)
+    loaders = case_loaders(data_root, crop)
     ids = _select_ids(cfg, sorted(loaders), split)
     if not ids:
         raise DataError(f"no cases selected for split '{split}' in {data_root}")
@@ -442,8 +445,10 @@ def format_report(report: dict) -> str:
 def predict(ckpt_path: str, in_path: str, out_path: str, batch_size: int = 8) -> dict:
     """Segment one case directory into a 3D label volume file.
 
-    The mask matches the input dims: predictions fill the centered crop
-    window and everything outside it stays background. Output is .svol,
+    The case is streamed into its crop windows (`load_case(..., crop=...)`),
+    so no whole volume is held. The mask matches the input dims the headers
+    give: predictions fill the centered crop window and everything outside
+    it stays background. Output is .svol,
     plus a .nii sibling when any modality of the input case was NIfTI; it
     takes the spacing `load_case` read from the first such modality. A
     batch size below 1, or an output path that is not .svol or is in a
@@ -458,7 +463,7 @@ def predict(ckpt_path: str, in_path: str, out_path: str, batch_size: int = 8) ->
     case_dir = Path(in_path)
     if not case_dir.is_dir():
         raise DataError(f"case directory not found: {in_path}")
-    sample = load_case(case_dir.parent, case_dir.name, require_seg=False)
+    sample = load_case(case_dir.parent, case_dir.name, require_seg=False, crop=crop)
     d, h, w = sample.dims
     oh, ow = crop_offsets((h, w), crop)
 

@@ -6,14 +6,20 @@ hook point fail the test suite rather than a benchmark run. The tracer is
 read from `perfbench/` and executed without writing anything there.
 """
 
+import dataclasses
 import importlib.util
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import segforge.data as data_module
+from segforge.checkpoint import save_checkpoint
 from segforge.data import synth_case
+from segforge.model import build_model
+from segforge.nifti import write_nifti
+from segforge.train import predict, run_preset
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -51,3 +57,30 @@ def test_slicing_time_lands_in_its_data_metrics(tracer_module):
     metrics = tracer.metrics(rounds=1, traced_wall_s=tracer.covered_s, overhead_frac=0.0)
     assert metrics["data.extract_slices_s"] > 0
     assert metrics["data.make_batch_s"] > 0
+
+
+def test_predict_time_lands_in_spans(tracer_module, tmp_path):
+    """A `brats_infer` round in miniature: its reads are timed and nearly all its time is in spans.
+
+    Work that leaves every span, such as a read on a thread the spans do not
+    reach, shows here as unattributed time before it shows in a benchmark run.
+    """
+    cfg = dataclasses.replace(run_preset("desk"), crop=(64, 64))
+    ckpt = tmp_path / "run.ckpt"
+    save_checkpoint(ckpt, cfg.to_dict(), build_model(cfg.model))
+    case = synth_case(2, dims=(24, 128, 128), case_id="c")
+    case_dir = tmp_path / "c"
+    case_dir.mkdir()
+    for name, vol in {**case.modalities, "seg": case.label}.items():
+        write_nifti(case_dir / f"c_{name}.nii.gz", vol, case.spacing)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        t0 = time.perf_counter()
+        predict(str(ckpt), str(case_dir), str(tmp_path / "mask.svol"))
+        wall_s = time.perf_counter() - t0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(rounds=1, traced_wall_s=wall_s, overhead_frac=0.0)
+    assert metrics["nifti.read_s"] > 0
+    assert tracer.covered_s >= 0.95 * wall_s, (tracer.covered_s, wall_s)

@@ -2,6 +2,7 @@
 
 import ast
 import collections
+import dataclasses
 import gzip
 import re
 import struct
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import segforge
+import segforge.data as data_module
 import segforge.errors as errors_module
 
 from segforge.checkpoint import load_checkpoint, model_arrays, save_checkpoint
@@ -30,6 +32,7 @@ from segforge.nifti import read_nifti, read_spacing, write_nifti
 from segforge.optim import Adam
 from segforge.svol import read_svol, write_svol
 from segforge.tensor import Tensor
+from segforge.train import run_preset, train
 
 from oracles import (reference_checkpoint_bytes, reference_extract_slices,
                      reference_nifti_bytes, reference_read_nifti, reference_svol_bytes)
@@ -763,8 +766,9 @@ class TestCaseIO:
         with pytest.raises(DataError):
             load_case(tmp_path, "partial")
 
-    def test_raw_label_four_takes_one_unique(self, tmp_path, monkeypatch):
-        sample = synth_case(14, dims=(8, 64, 64), case_id="raw")
+    @pytest.mark.parametrize("crop", [None, (64, 64)], ids=["whole", "cropped"])
+    def test_raw_label_four_is_checked_without_a_sort(self, tmp_path, monkeypatch, crop):
+        sample = synth_case(14, dims=(8, 64, 96), case_id="raw")
         case_dir = write_case(sample, tmp_path)
         raw = sample.label.astype(np.int16)
         raw[raw == 3] = 4
@@ -773,15 +777,15 @@ class TestCaseIO:
         calls = []
         unique = np.unique
         monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
-        label = load_case(tmp_path, "raw").label
+        label = load_case(tmp_path, "raw", crop=crop).label
         monkeypatch.undo()
-        assert len(calls) == 1
-        want = remap_labels(raw)
+        assert calls == []   # the values are counted, not sorted
+        want = remap_labels(raw) if crop is None else remap_labels(raw)[:, :, 16:80]
         assert label.dtype == want.dtype and label.tobytes() == want.tobytes()
-        raw[0, 0, 0] = 3   # 3 and 4 together are neither convention
+        raw[0, 0, 0] = 3   # 3 and 4 together are neither convention, even outside the window
         write_nifti(case_dir / "raw_seg.nii", raw)
-        with pytest.raises(DataError, match=r"\[3\]"):
-            load_case(tmp_path, "raw")
+        with pytest.raises(DataError, match=r"label value\(s\) \[3\] outside \[0, 1, 2, 4\]"):
+            load_case(tmp_path, "raw", crop=crop)
 
     def test_missing_seg_behaviour(self, tmp_path):
         sample = synth_case(15, dims=(8, 64, 64), case_id="noseg")
@@ -841,6 +845,142 @@ class TestCaseIO:
         assert list_cases(tmp_path) == ["alpha", "zeta"]
         with pytest.raises(DataError):
             list_cases(tmp_path / "void")
+
+
+def _write_case_as(sample, root, suffix):
+    """`sample` written as a case in the .nii, .nii.gz or .svol layout; returns the case dir."""
+    if suffix != ".nii.gz":
+        return write_case(sample, root, fmt=suffix[1:])
+    case_dir = root / sample.case_id
+    case_dir.mkdir(parents=True)
+    for name, vol in {**sample.modalities, "seg": sample.label}.items():
+        write_nifti(case_dir / f"{sample.case_id}_{name}.nii.gz", vol, sample.spacing)
+    return case_dir
+
+
+class TestCroppedLoad:
+    """`load_case(..., crop=c)` reads each file a slab at a time into its crop window.
+
+    Slicing the cut case gives the bytes slicing the whole case gives, and
+    every fault is raised as the whole read raises it.
+    """
+
+    @staticmethod
+    def _assert_parity(root, case_id, crop):
+        whole = load_case(root, case_id)
+        cut = load_case(root, case_id, crop=crop)
+        assert cut.dims == whole.dims and cut.spacing == whole.spacing
+        assert all(v.shape == (whole.dims[0], *crop)
+                   for v in (*cut.modalities.values(), cut.label))
+        for threshold in (0.0, run_preset("desk").min_foreground):
+            want = extract_slices(whole, crop, threshold)
+            got = extract_slices(cut, crop, threshold)
+            for g, w in ((got.images, want.images), (got.labels, want.labels)):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+        return cut
+
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz", ".svol"])
+    def test_cut_case_slices_like_the_whole_case(self, tmp_path, monkeypatch, suffix):
+        # small pieces: depth 13 takes several slabs and ends in a short one
+        monkeypatch.setattr(errors_module, "PIECE", 100_000)
+        monkeypatch.setattr(data_module, "LABEL_PIECE", 1000)
+        sample = synth_case(21, dims=(13, 96, 128), case_id="w")
+        for vol in sample.modalities.values():
+            vol[-1, 10:40, 20:60] = 0.7   # the short last slab counts towards the stats
+        _write_case_as(sample, tmp_path, suffix)
+        cut = self._assert_parity(tmp_path, "w", (64, 64))
+        with pytest.raises(ContractError, match="cut to the crop"):
+            extract_slices(cut, (32, 64))
+        with pytest.raises(ContractError):
+            write_case(cut, tmp_path / "again")
+
+    def test_big_endian_and_scaled_files(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(errors_module, "PIECE", 50_000)
+        sample = synth_case(22, dims=(11, 64, 96), case_id="h")
+        case_dir = tmp_path / "h"
+        case_dir.mkdir()
+        as_int16 = np.rint(sample.modalities["flair"] * 1000).astype(np.int16)
+        raw_seg = sample.label.copy()
+        raw_seg[raw_seg == 3] = 4
+        files = {
+            "t1ce.nii": build_nifti_bytes(sample.modalities["t1ce"], bo=">", datatype=16),
+            "t2.nii": build_nifti_bytes(np.rint(sample.modalities["t2"] * 500).astype(np.int16),
+                                        datatype=4, scl=(0.25, -1.5)),
+            "flair.nii.gz": gzip.compress(build_nifti_bytes(as_int16, bo=">", datatype=4,
+                                                            scl=(0.5, 0.0)), mtime=0),
+            "seg.nii": build_nifti_bytes(raw_seg),
+        }
+        for name, blob in files.items():
+            (case_dir / f"h_{name}").write_bytes(blob)
+        self._assert_parity(tmp_path, "h", (64, 96))   # the crop is the whole plane
+
+    def test_faults_raise_as_the_whole_read_raises_them(self, tmp_path):
+        sample = synth_case(23, dims=(8, 64, 96), case_id="f")
+        case_dir = write_case(sample, tmp_path)
+        t2, seg = (case_dir / "f_t2.nii").read_bytes(), (case_dir / "f_seg.nii").read_bytes()
+
+        def messages(error, pattern):
+            got = []
+            for crop in (None, (64, 64)):
+                with pytest.raises(error, match=pattern) as exc:
+                    load_case(tmp_path, "f", crop=crop)
+                got.append(str(exc.value))
+            assert got[0] == got[1]
+
+        (case_dir / "f_t2.nii").unlink()
+        (case_dir / "f_t2.nii.gz").write_bytes(gzip.compress(t2[:-1000], mtime=0))
+        messages(FormatError, r"truncated payload from byte 352 .* ends at byte \d+")
+        (case_dir / "f_t2.nii.gz").unlink()
+        write_nifti(case_dir / "f_t2.nii", np.ones((8, 64, 128), dtype=np.float32))
+        messages(DataError, r"dim mismatch for 't2'")
+        (case_dir / "f_t2.nii").write_bytes(t2)
+        write_nifti(case_dir / "f_seg.nii", np.zeros((9, 64, 96), dtype=np.uint8))
+        messages(DataError, r"segmentation dims \(9, 64, 96\)")
+        bad = sample.label.copy()
+        bad[7, 63, 0] = 7   # outside the crop window
+        write_nifti(case_dir / "f_seg.nii", bad)
+        messages(DataError, r"label value\(s\) \[7\] outside \[0, 1, 2, 3\]")
+        write_nifti(case_dir / "f_seg.nii", sample.label.astype(np.float32) + 0.5)
+        messages(DataError, "non-integer label values")
+        (case_dir / "f_seg.nii").write_bytes(seg)
+        write_nifti(case_dir / "f_flair.nii", np.ones((8, 32, 96), dtype=np.float32))
+        with pytest.raises(DataError, match="smaller than the crop"):
+            load_case(tmp_path, "f", crop=(64, 64))
+
+    def test_streamed_load_holds_windows_only(self, tmp_path):
+        write_case(synth_case(24, dims=(48, 240, 240), case_id="m"), tmp_path)
+        crop = (64, 64)
+        peaks = {}
+        for mode in (None, crop):
+            tracemalloc.start()
+            try:
+                extract_slices(load_case(tmp_path, "m", crop=mode), crop, 0.0)
+                peaks[mode] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[crop] < peaks[None] / 2, peaks
+        tracemalloc.start()
+        try:
+            case = load_data_root(str(tmp_path), crop)["m"]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        windows = [*case.modalities.values(), case.label]
+        assert all(v.shape == (48, *crop) for v in windows)
+        assert held < sum(v.nbytes for v in windows) + 2**20, held
+
+    def test_directory_root_trains_like_its_synth_root(self, tmp_path):
+        uri = "synth:cases=2,seed=3,dims=8x96x96"
+        for sample in synth_dataset(parse_synth_uri(uri)):
+            write_case(sample, tmp_path / "cases")
+        curves = []
+        for root in (uri, str(tmp_path / "cases")):
+            cfg = run_preset("desk")
+            cfg = dataclasses.replace(cfg, epochs=2, val_on_train=True, data_root=root,
+                                      output_dir=str(tmp_path / f"run{len(curves)}"))
+            curves.append(Path(train(cfg)["curves"]).read_bytes())
+        assert curves[0] == curves[1]
 
 
 def _writes_files(call: ast.Call) -> bool:
