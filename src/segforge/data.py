@@ -626,12 +626,12 @@ def synth_dataset(spec: SynthSpec) -> list[VolumeSample]:
     return [make() for make in _synth_loaders(spec).values()]
 
 
-def case_loaders(data_root: str, crop: Optional[tuple[int, int]] = None
+def case_loaders(data_root: str, crop: tuple[int, int]
                  ) -> dict[str, Callable[[], VolumeSample]]:
     """A data root's (directory or `synth:` URI) case ids, each with the call that loads it.
 
-    A directory's cases are read cut to `crop` when it is given
-    (`load_case`); synthetic cases are generated whole.
+    A directory's cases are read cut to `crop` (`load_case`); synthetic
+    cases are generated whole.
     """
     if data_root.startswith("synth:"):
         return _synth_loaders(parse_synth_uri(data_root))
@@ -639,7 +639,6 @@ def case_loaders(data_root: str, crop: Optional[tuple[int, int]] = None
             for cid in list_cases(data_root)}
 
 
-def load_data_root(data_root: str, crop: Optional[tuple[int, int]] = None
-                   ) -> dict[str, VolumeSample]:
+def load_data_root(data_root: str, crop: tuple[int, int]) -> dict[str, VolumeSample]:
     """Resolve a data root (directory or `synth:` URI) into loaded cases, as `case_loaders`."""
     return {cid: load() for cid, load in case_loaders(data_root, crop).items()}

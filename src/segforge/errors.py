@@ -112,18 +112,27 @@ class BinaryReader:
                               f"in {self.path}") from None
         return nbytes
 
-    def slabs(self, dtype: np.dtype, dims, field: str, at=None, out=None):
-        """Yield `(lo, slab)` for the C-order `dtype` array of `dims` next, or from byte `at`.
-
-        Each slab holds whole rows `lo:lo + len(slab)` of the first axis, in
-        native byte order. They are read into `out` when it is given, else into
-        one buffer of about PIECE bytes that the next slab reuses. The size is
-        checked against the limit before anything is allocated.
-        """
+    def _begin(self, dtype: np.dtype, dims, field: str, at) -> tuple[int, int]:
+        """`(start, nbytes)` of the payload next, or at byte `at`, checked and sought to."""
         start = self.offset if at is None else at
         nbytes = self._payload_size(dtype, dims, field, start)
         if at is not None:
             self._fh.seek(at)
+        return start, nbytes
+
+    def slabs(self, dtype: np.dtype, dims, field: str, at=None):
+        """The `(lo, slab)` pairs of the C-order `dtype` array of `dims` next, or from byte `at`.
+
+        Each slab holds whole rows `lo:lo + len(slab)` of the first axis, in
+        native byte order, read into one buffer of about PIECE bytes that the
+        next slab reuses. The size is checked against the limit by this call,
+        so before a caller allocates what the slabs fill.
+        """
+        start, nbytes = self._begin(dtype, dims, field, at)
+        return self._read_slabs(dtype, dims, field, start, nbytes)
+
+    def _read_slabs(self, dtype, dims, field, start, nbytes, out=None):
+        """Yield the slabs `slabs` describes, read into `out` when it is given."""
         shape = tuple(dims) or (1,)   # a 0-d array is one row
         rows = shape[0]
         done = 0
@@ -151,12 +160,12 @@ class BinaryReader:
     def array(self, dtype: np.dtype, dims, field: str, at=None) -> np.ndarray:
         """The C-order `dtype` array of `dims` next, or from byte `at`, as a native array.
 
-        It is read by `slabs` straight into the result, which is allocated
-        only once the size is checked.
+        It is allocated only once the size is checked, then read slab by
+        slab straight into itself.
         """
-        self._payload_size(dtype, dims, field, self.offset if at is None else at)
+        start, nbytes = self._begin(dtype, dims, field, at)
         arr = np.empty(dims, dtype=dtype.newbyteorder("="))
-        for _ in self.slabs(dtype, dims, field, at, out=arr):
+        for _ in self._read_slabs(dtype, dims, field, start, nbytes, out=arr):
             pass
         return arr
 

@@ -350,16 +350,16 @@ class TestSynthSpecAndRoots:
                 synth_dataset(bad)
 
     def test_load_data_root_synth_uri(self):
-        cases = load_data_root("synth:cases=2,seed=1,dims=8x64x64")
+        cases = load_data_root("synth:cases=2,seed=1,dims=8x64x64", (64, 64))
         assert sorted(cases) == ["synth_000", "synth_001"]
 
     def test_load_data_root_directory(self, tmp_path):
         for seed, cid in ((1, "caseB"), (2, "caseA")):
             write_case(synth_case(seed, dims=(8, 64, 64), case_id=cid), tmp_path)
-        cases = load_data_root(str(tmp_path))
+        cases = load_data_root(str(tmp_path), (64, 64))
         assert sorted(cases) == ["caseA", "caseB"]
         with pytest.raises(DataError):
-            load_data_root(str(tmp_path / "missing"))
+            load_data_root(str(tmp_path / "missing"), (64, 64))
 
 
 class TestSvolContainer:
@@ -672,19 +672,37 @@ class TestStreamingNiftiReader:
         with pytest.raises(FormatError, match="truncated payload"):
             read_nifti(path)
 
-    @pytest.mark.parametrize("name", ["h.nii", "h.nii.gz"])
+    @pytest.mark.parametrize("name", ["h.nii", "h.nii.gz", "h.svol"])
     def test_huge_dims_fail_before_allocating(self, tmp_path, monkeypatch, name):
-        blob = build_nifti_bytes(np.zeros((1, 1, 1), dtype=np.float32), datatype=16,
-                                 vox_offset=352.0, dim=(3, 32767, 32767, 32767, 1, 1, 1, 1))
-        path = tmp_path / name
-        path.write_bytes(_gzip_members(blob) if name.endswith(".gz") else blob)
+        # a whole read, a scaled one and a case cut to its crop windows are
+        # each bounded by the file's size before the volume or window is made
+        if name.endswith(".svol"):
+            header = b"SVOL0001" + struct.pack("<4IB", 3, 2**32 - 1, 64, 64, 1)
+            blobs, at = [header + b"\0"], len(header)
+        else:
+            blobs = [build_nifti_bytes(np.zeros((1, 1, 1), dtype=np.float32), datatype=16,
+                                       vox_offset=352.0, scl=scl,
+                                       dim=(3, 32767, 32767, 32767, 1, 1, 1, 1))
+                     for scl in ((0.0, 0.0), (2.0, 1.0))]
+            at = 352
+        if name.endswith(".gz"):
+            blobs = [_gzip_members(blob) for blob in blobs]
+        path, case_dir = tmp_path / name, tmp_path / "h"
+        case_dir.mkdir()
 
         def no_allocation(*args, **kwargs):
-            raise AssertionError("read_nifti allocated before bounding the payload")
+            raise AssertionError("a read allocated before bounding the payload")
 
         monkeypatch.setattr(np, "empty", no_allocation)
-        with pytest.raises(FormatError, match="truncated payload from byte 352"):
-            read_nifti(path)
+        for blob in blobs:
+            path.write_bytes(blob)
+            with pytest.raises(FormatError, match=f"truncated payload from byte {at}"):
+                read_volume(path)
+            for part in (*MODALITIES, "seg"):
+                file = f"{part}.svol" if name.endswith(".svol") else f"h_{part}{name[1:]}"
+                (case_dir / file).write_bytes(blob)
+            with pytest.raises(FormatError, match=f"truncated payload from byte {at}"):
+                load_case(tmp_path, "h", crop=(32, 32))
 
     @pytest.mark.parametrize("name", ["o.nii", "o.nii.gz"])
     def test_non_finite_vox_offset(self, tmp_path, name):

@@ -867,7 +867,7 @@ class TestEvaluate:
         masks = tmp_path / "masks"
         report = evaluate(overfit_run["best"], cfg.data_root, split="all",
                           save_masks=str(masks))
-        samples = load_data_root(cfg.data_root)
+        samples = load_data_root(cfg.data_root, cfg.crop)
         preds, trues = [], []
         for cid in sorted(samples):
             preds.append(read_svol(masks / f"{cid}_pred.svol"))
@@ -938,7 +938,7 @@ class TestPredict:
 
     def test_overfit_model_segments_training_case_well(self, overfit_run, tmp_path):
         cfg = overfit_run["config"]
-        samples = load_data_root(cfg.data_root)
+        samples = load_data_root(cfg.data_root, cfg.crop)
         cid = sorted(samples)[0]
         write_case(samples[cid], tmp_path / "cases", fmt="nii")
         out = tmp_path / "pred.svol"
