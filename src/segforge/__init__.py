@@ -14,7 +14,7 @@ from .model import ModelConfig, PRESETS, SegmentationModel, build_model
 from .metrics import (binary_dice, binary_iou, dice_score, iou_score, mean_iou,
                       pixel_accuracy, soft_dice_loss)
 from .data import (VolumeSample, extract_slices, load_case, normalize_modality,
-                   remap_labels, split_dataset, synth_case)
+                   split_dataset, synth_case)
 from .nifti import read_nifti, write_nifti
 from .svol import read_svol, write_svol
 from .checkpoint import load_checkpoint, restore_model, save_checkpoint
@@ -30,7 +30,7 @@ __all__ = [
     "binary_dice", "binary_iou", "dice_score", "iou_score", "mean_iou",
     "pixel_accuracy", "soft_dice_loss",
     "VolumeSample", "extract_slices", "load_case", "normalize_modality",
-    "remap_labels", "split_dataset", "synth_case",
+    "split_dataset", "synth_case",
     "read_nifti", "write_nifti", "read_svol", "write_svol",
     "load_checkpoint", "restore_model", "save_checkpoint",
     "Adam",

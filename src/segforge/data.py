@@ -7,11 +7,13 @@ of a case, for writing and for lookup alike.
 Cases follow the BraTS layout `<root>/<case_id>/<case_id>_<modality>.nii`
 (NIfTI-1, or gzipped as `.nii.gz`) with a raw-volume fallback
 `<root>/<case_id>/<modality>.svol`. Three modalities (T1ce, T2, FLAIR)
-become the network's input channels; segmentation labels are remapped from
-the raw {0,1,2,4} convention to contiguous {0,1,2,3}. Training happens on
-axial 2D slices: `extract_slices` cuts a case into one `SliceBatch`, a pair
-of stacked arrays (images and labels), and `make_batch` indexes batches out
-of it.
+become the network's input channels. A seg in the raw {0,1,2,4} convention
+is remapped to contiguous {0,1,2,3}, and one already contiguous is kept;
+every seg read is checked a slab at a time (`_label_window`). Training
+happens on axial 2D slices of each plane's centred crop window, and
+`crop_window` is the one rule for where that window sits: `extract_slices`
+cuts a case into one `SliceBatch`, a pair of stacked arrays (images and
+labels), and `make_batch` indexes batches out of it.
 
 Everything is deterministic: synthetic cases are pure functions of their
 seed, and splits are pure functions of (ids, fraction, seed). `load_case`
@@ -26,6 +28,7 @@ a whole volume of a case.
 from __future__ import annotations
 
 import functools
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,9 +51,8 @@ SYNTH_MIN_DIMS = (8, 64, 64)
 
 @dataclass(frozen=True)
 class CropWindow:
-    """Where a sample cut to its crop windows sits in its case."""
+    """Where a sample cut to its crop windows sits in its case; its planes are the crop."""
     dims: tuple[int, int, int]                             # the whole case's [D,H,W]
-    crop: tuple[int, int]
     stats: dict[str, Optional[tuple[np.float64, float]]]   # whole-volume nonzero mean, std
 
 
@@ -86,18 +88,6 @@ class SliceBatch:
 # per-volume transforms
 
 
-def remap_labels(raw: np.ndarray) -> np.ndarray:
-    """Map the raw label convention {0,1,2,4} to contiguous {0,1,2,3}."""
-    arr = np.asarray(raw)
-    bad = [int(v) for v in np.unique(arr) if int(v) not in RAW_LABELS]
-    if bad:
-        raise DataError(f"unexpected raw label value(s) {bad}; "
-                        f"expected a subset of {sorted(RAW_LABELS)}")
-    out = arr.astype(np.uint8, copy=True)
-    out[out == 4] = 3
-    return out
-
-
 # numpy sums a contiguous float64 array pairwise: it splits n values at
 # n//2 - (n//2) % 8 and adds the two halves' sums, down to unrolled blocks of
 # 128. np.add.reduce sums a piece of at most this many values by that rule.
@@ -117,21 +107,26 @@ def _squared_deviation_sum(vals: np.ndarray, centre: np.ndarray) -> np.float64:
             + _squared_deviation_sum(vals[half:], centre))
 
 
-def _nonzero_stats(vol: np.ndarray):
+def _nonzero_stats(vol: np.ndarray, source="the volume"):
     """Mean and std (floored at 1e-8) of the nonzero voxels; None when there are none."""
-    return _mean_std(vol[vol != 0])
+    return _mean_std(vol[vol != 0], source)
 
 
-def _mean_std(vals: np.ndarray):
+def _mean_std(vals: np.ndarray, source):
     """Mean and std (floored at 1e-8) of float32 `vals`; None when it is empty.
 
     Both are bit-equal to `vals.mean/std(dtype=np.float64)`, but the std sums
     its squared deviations in pieces of at most STATS_PIECE values, in the
     tree numpy would add them in, so no float64 copy of the values is made.
+    A NaN or infinite value makes the mean non-finite: a DataError naming
+    `source`.
     """
     if not vals.size:
         return None
-    mean = vals.mean(dtype=np.float64)
+    with np.errstate(invalid="ignore"):   # +inf and -inf make a NaN, refused below
+        mean = vals.mean(dtype=np.float64)
+    if not np.isfinite(mean):
+        raise DataError(f"NaN or infinite voxel values in {source}")
     var = _squared_deviation_sum(vals, np.full(1, mean)) / vals.size
     return mean, max(float(np.sqrt(var)), 1e-8)
 
@@ -153,22 +148,27 @@ def normalize_modality(volume: np.ndarray) -> np.ndarray:
     return _zscore(vol, _nonzero_stats(vol))
 
 
-def crop_offsets(shape_hw: tuple[int, int], crop: tuple[int, int]) -> tuple[int, int]:
-    """Top-left corner of a centered crop window; a plane smaller than it is a DataError."""
-    h, w = shape_hw
-    ch, cw = crop
-    if ch % 32 or cw % 32:
-        raise ConfigError(f"crop dims must be divisible by 32, got {crop}")
-    if ch > h or cw > w:
-        raise DataError(f"volume planes {h}x{w} are smaller than the crop {crop}")
-    return (h - ch) // 2, (w - cw) // 2
+def check_crop(crop) -> None:
+    """A ConfigError unless `crop` is two integers, each a positive multiple of 32."""
+    if not (isinstance(crop, (tuple, list)) and len(crop) == 2
+            and all(isinstance(c, numbers.Integral) and c > 0 and not c % 32 for c in crop)):
+        raise ConfigError(f"crop must be two positive multiples of 32, got {crop}")
 
 
-def _window_origin(dims, crop, source) -> tuple[int, int]:
-    """The crop window's top-left corner in the planes of a volume of `dims`."""
+def crop_window(dims, crop, source):
+    """The slice that cuts the centred `crop` window out of a [D,H,W] volume of `dims`.
+
+    A bad crop is a ConfigError (`check_crop`); a volume that is not 3D, or
+    whose planes are smaller than the crop, is a DataError naming `source`.
+    """
+    check_crop(crop)
     if len(dims) != 3:
         raise DataError(f"expected a 3D volume, got dims {list(dims)} in {source}")
-    return crop_offsets(dims[1:], crop)
+    (_, h, w), (ch, cw) = dims, crop
+    if ch > h or cw > w:
+        raise DataError(f"volume planes {h}x{w} are smaller than the crop {crop} in {source}")
+    oh, ow = (h - ch) // 2, (w - cw) // 2
+    return np.s_[:, oh:oh + ch, ow:ow + cw]
 
 
 def _modality_window(crop, source, dims, slabs):
@@ -179,13 +179,12 @@ def _modality_window(crop, source, dims, slabs):
     `_mean_std` of it: those of every nonzero voxel of the volume. `source`
     names the volume in errors.
     """
-    ch, cw = crop
-    oh, ow = _window_origin(dims, crop, source)
-    window = np.empty((dims[0], ch, cw), dtype=np.float32)
+    cut = crop_window(dims, crop, source)
+    window = np.empty((dims[0], *crop), dtype=np.float32)
     nonzero = np.empty(0, dtype=np.float32)
     for z0, slab in slabs:
         slab = slab.astype(np.float32, copy=False)
-        window[z0:z0 + len(slab)] = slab[:, oh:oh + ch, ow:ow + cw]
+        window[z0:z0 + len(slab)] = slab[cut]
         n = nonzero.size
         # grown to fit exactly, with no array made after it alive across the
         # resize, so realloc can extend it in place: a case's modalities are
@@ -193,7 +192,7 @@ def _modality_window(crop, source, dims, slabs):
         nonzero.resize(n + np.count_nonzero(slab != 0), refcheck=False)
         nonzero[n:] = slab[slab != 0]
     slab = None   # the read buffer goes before the stats allocate theirs
-    return dims, window, _mean_std(nonzero)
+    return dims, window, _mean_std(nonzero, source)
 
 
 def cut_to_crop(sample: VolumeSample, crop: tuple[int, int]) -> VolumeSample:
@@ -204,21 +203,19 @@ def cut_to_crop(sample: VolumeSample, crop: tuple[int, int]) -> VolumeSample:
     order, that a streamed read gathers. A sample already cut is returned
     as it is; cut to another crop, it is a ContractError.
     """
-    crop = tuple(crop)
+    cut = crop_window(sample.dims, crop, f"case {sample.case_id}")
     if sample.window is not None:
-        if sample.window.crop != crop:
+        if sample.label.shape[1:] != tuple(crop):
             raise ContractError(f"case {sample.case_id} is cut to the crop "
-                                f"{sample.window.crop}, not {crop}")
+                                f"{sample.label.shape[1:]}, not {tuple(crop)}")
         return sample
-    ch, cw = crop
-    oh, ow = _window_origin(sample.dims, crop, sample.case_id)
-    window = np.s_[:, oh:oh + ch, ow:ow + cw]
     vols = sample.modalities
     return VolumeSample(
-        modalities={m: vols[m][window].astype(np.float32, copy=False) for m in MODALITIES},
-        label=sample.label[window], case_id=sample.case_id, spacing=sample.spacing,
-        window=CropWindow(tuple(sample.dims), crop,
-                          {m: _nonzero_stats(np.asarray(vols[m], dtype=np.float32))
+        modalities={m: vols[m][cut].astype(np.float32, copy=False) for m in MODALITIES},
+        label=sample.label[cut], case_id=sample.case_id, spacing=sample.spacing,
+        window=CropWindow(tuple(sample.dims),
+                          {m: _nonzero_stats(np.asarray(vols[m], dtype=np.float32),
+                                             f"'{m}' of case {sample.case_id}")
                            for m in MODALITIES}))
 
 
@@ -295,80 +292,62 @@ def _find_modality_file(case_dir: Path, case_id: str, name: str) -> Optional[Pat
     return None
 
 
-# label values per np.bincount, which casts them to intp: 256 KiB of it at a
-# time, small next to a modality's read buffer
-LABEL_PIECE = 1 << 15
+def _label_values(slab: np.ndarray, path) -> set[int]:
+    """The values of label array `slab` that decide its convention: 3, 4 and any outside 0..4.
 
-
-def _label_values(raw: np.ndarray, path) -> set[int]:
-    """Every value in label array `raw`, counted LABEL_PIECE values at a time, without a sort.
-
-    Non-integer float labels are a DataError.
+    0, 1 and 2 are labels in either convention, so no scan looks for them,
+    and the slab's max settles 3 and 4 unless a 3 may lie under a larger
+    max. A non-integer or non-finite float label is a DataError.
     """
-    flat = raw.reshape(-1)
-    values = set()
-    for lo in range(0, flat.size, LABEL_PIECE):
-        piece = flat[lo:lo + LABEL_PIECE]
-        if piece.dtype.kind == "f":
-            rounded = np.rint(piece)
-            if not np.array_equal(rounded, piece):
-                raise DataError(f"non-integer label values in {path}")
-            piece = rounded.astype(np.int32)
-        if piece.min() >= 0 and piece.max() < LABEL_PIECE:
-            present = np.flatnonzero(np.bincount(piece))
-        else:   # a negative or far value, which _remapped_labels refuses
-            present = np.unique(piece)
-        values.update(present.tolist())
+    if slab.dtype.kind == "f" and not (np.isfinite(slab).all()
+                                       and np.array_equal(np.rint(slab), slab)):
+        raise DataError(f"non-integer label values in {path}")
+    if not slab.size:
+        return set()
+    lo, hi = slab.min(), slab.max()
+    values = {v for v in (3, 4) if v == hi or v < hi and (slab == v).any()}
+    if lo < 0 or hi > 4:
+        values.update(int(v) for v in np.unique(slab[(slab < 0) | (slab > 4)]))
     return values
 
 
-def _remapped_labels(kept: np.ndarray, values: set[int], path) -> np.ndarray:
-    """`kept`, part or all of the seg at `path` whose `values` are given, as uint8 {0,1,2,3}.
-
-    The allowed set is {0,1,2,4} when the volume holds a 4, else {0,1,2,3};
-    any other value, kept or not, is a DataError. Raw 4 becomes 3, in place
-    when `kept` is already uint8.
-    """
-    allowed = RAW_LABELS if 4 in values else range(NUM_CLASSES)
-    bad = sorted(v for v in values if v not in allowed)
-    if bad:
-        raise DataError(f"label value(s) {bad} outside {sorted(allowed)} in {path}")
-    labels = kept.astype(np.uint8, copy=False)
-    if 4 in values:
-        labels[labels == 4] = 3
-    return labels
-
-
 def _label_window(crop, path, dims, slabs):
-    """`(dims, window, None)` of the seg that `slabs` yield: its crop window as uint8 {0,1,2,3}.
+    """`(dims, window, None)` of the seg that `slabs` yield, as uint8 {0,1,2,3}.
 
+    The window is the seg's crop window, or all of it when `crop` is None.
+    The allowed set is {0,1,2,4} when the seg holds a 4, else {0,1,2,3}.
     Every slab's values are checked, so a bad value outside the window is
-    an error too.
+    an error too. Raw 4 becomes 3.
     """
-    ch, cw = crop
-    oh, ow = _window_origin(dims, crop, path)
-    window = np.empty((dims[0], ch, cw), dtype=np.uint8)
+    cut = np.s_[:] if crop is None else crop_window(dims, crop, path)
+    window = np.empty(dims if crop is None else (dims[0], *crop), dtype=np.uint8)
     values = set()
     for z0, slab in slabs:
         values |= _label_values(slab, path)
         with np.errstate(invalid="ignore"):   # a value uint8 cannot hold is refused below
-            window[z0:z0 + len(slab)] = slab[:, oh:oh + ch, ow:ow + cw]
-    return dims, _remapped_labels(window, values, path), None
+            window[z0:z0 + len(slab)] = slab[cut]
+    allowed = RAW_LABELS if 4 in values else range(NUM_CLASSES)
+    bad = sorted(v for v in values if v not in allowed)
+    if bad:
+        raise DataError(f"label value(s) {bad} outside {sorted(allowed)} in {path}")
+    if 4 in values:
+        window[window == 4] = 3
+    return dims, window, None
 
 
 def _read_case_file(path: Path, name: str, crop):
     """`(dims, volume, stats)` of one file of a case: modalities float32, the seg uint8.
 
-    Without `crop`, the volume is whole and stats is None. With it, the file
-    is read a slab at a time into its crop window (`_modality_window`,
-    `_label_window`).
+    The seg is always read a slab at a time and checked (`_label_window`).
+    Without `crop`, the volume is whole and stats is None. With it, a
+    modality is read a slab at a time into its crop window, with its stats
+    (`_modality_window`).
     """
-    if crop is not None:
-        cut = _label_window if name == "seg" else _modality_window
-        return read_volume(path, functools.partial(cut, crop, path))
-    vol = read_volume(path)
     if name == "seg":
-        return vol.shape, _remapped_labels(vol, _label_values(vol, path), path), None
+        return read_volume(path, functools.partial(_label_window, crop, path))
+    if crop is not None:
+        return read_volume(path, functools.partial(_modality_window, crop, path))
+    vol = read_volume(path)
     return vol.shape, (vol if vol.dtype.kind == "f" else vol.astype(np.float32)), None
 
 
@@ -377,20 +356,23 @@ def load_case(root: str | Path, case_id: str, require_seg: bool = True,
     """Assemble one case from disk, cross-checking dims across files.
 
     The case's files are decoded concurrently, one thread each; errors are
-    raised in file order, as a sequential read would meet them. Labels
-    containing the raw value 4 are remapped to {0,1,2,3}; volumes already in
-    the contiguous convention are validated and kept bit-exact. Without
+    raised in file order, as a sequential read would meet them. The seg is
+    checked a slab at a time: labels {0,1,2,4} are remapped to {0,1,2,3},
+    labels already in the contiguous convention are kept bit-exact, and any
+    other value, inside the crop window or not, is a DataError. Without
     require_seg, no seg file is read and the label is all zero.
 
-    With `crop`, each file is decoded a slab of whole z-slices at a time
-    into the sample `cut_to_crop` would make of the whole case: every volume
-    cut to its crop window, each modality's whole-volume stats, and the
-    dims the headers give. No whole volume is held.
+    With `crop`, a bad crop is a ConfigError before any file is read. Each
+    file is then decoded a slab of whole z-slices at a time into the sample
+    `cut_to_crop` would make of the whole case: every volume cut to its
+    crop window, each modality's whole-volume stats, and the dims the
+    headers give. No whole volume is held.
     """
+    if crop is not None:
+        check_crop(crop)
     case_dir = Path(root) / case_id
     if not case_dir.is_dir():
         raise DataError(f"case directory not found: {case_dir}")
-    crop = None if crop is None else tuple(crop)
 
     names = (*MODALITIES, "seg") if require_seg else MODALITIES
     paths = {name: _find_modality_file(case_dir, case_id, name) for name in names}
@@ -424,7 +406,7 @@ def load_case(root: str | Path, case_id: str, require_seg: bool = True,
         label = np.zeros(parts[MODALITIES[0]][1].shape, dtype=np.uint8)
 
     window = None if crop is None else CropWindow(
-        tuple(dims), crop, {name: parts[name][2] for name in MODALITIES})
+        tuple(dims), {name: parts[name][2] for name in MODALITIES})
     return VolumeSample(modalities={name: parts[name][1] for name in MODALITIES}, label=label,
                         case_id=case_id, spacing=spacing, window=window)
 

@@ -22,8 +22,9 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, restore_model, save_checkpoint
 from .data import (DEFAULT_CROP, MIN_FOREGROUND_DEFAULT, MODALITIES, NUM_CLASSES,
-                   TRAIN_FRACTION, SliceBatch, case_loaders, crop_offsets, extract_slices,
-                   load_case, load_data_root, make_batch, split_dataset, write_volume)
+                   TRAIN_FRACTION, SliceBatch, case_loaders, check_crop, crop_window,
+                   extract_slices, load_case, load_data_root, make_batch, split_dataset,
+                   write_volume)
 from .errors import (ConfigError, DataError, check_output_dir, make_dirs, open_input,
                      open_output)
 from .metrics import (_confusion_matrix, _confusion_scores, cross_entropy_loss,
@@ -108,8 +109,7 @@ class RunConfig(ConfigDocument):
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.val_on_train and not 0.0 < self.split.fraction < 1.0:
             raise ConfigError(f"split fraction must be in (0, 1), got {self.split.fraction}")
-        if len(self.crop) != 2 or any(c % 32 or c < 32 for c in self.crop):
-            raise ConfigError(f"crop must be two multiples of 32, got {self.crop}")
+        check_crop(self.crop)
         if self.loss.dice_weight < 0 or self.loss.ce_weight < 0:
             raise ConfigError("loss weights must be non-negative")
         if self.loss.dice_weight == 0 and self.loss.ce_weight == 0:
@@ -344,11 +344,12 @@ def train(cfg: RunConfig, verbose: bool = False) -> dict:
 
 
 def _load_run(ckpt_path, batch_size: int) -> tuple[RunConfig, SegmentationModel]:
-    """A checkpoint's run config, type-checked, and its restored model; checks batch_size first."""
+    """A checkpoint's run config, type- and crop-checked, and its restored model; batch_size first."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     ckpt = load_checkpoint(ckpt_path, optimizer_state=False)
     cfg = RunConfig.from_dict(ckpt.config)
+    check_crop(cfg.crop)
     return cfg, restore_model(ckpt)
 
 
@@ -461,16 +462,11 @@ def predict(ckpt_path: str, in_path: str, out_path: str, batch_size: int = 8) ->
     crop = cfg.crop
 
     case_dir = Path(in_path)
-    if not case_dir.is_dir():
-        raise DataError(f"case directory not found: {in_path}")
     sample = load_case(case_dir.parent, case_dir.name, require_seg=False, crop=crop)
-    d, h, w = sample.dims
-    oh, ow = crop_offsets((h, w), crop)
-
     cropped = _predict_labels(model, extract_slices(sample, crop, 0.0), batch_size)
 
-    mask = np.zeros((d, h, w), dtype=np.uint8)
-    mask[:, oh:oh + crop[0], ow:ow + crop[1]] = cropped
+    mask = np.zeros(sample.dims, dtype=np.uint8)
+    mask[crop_window(sample.dims, crop, case_dir)] = cropped
     write_svol(out_path, mask)
     written = {"svol": str(out_path)}
 

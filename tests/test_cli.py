@@ -19,7 +19,7 @@ from segforge import __version__
 from segforge.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from segforge.cli import main
 from segforge.data import MODALITIES, VolumeSample, write_case
-from segforge.nifti import read_nifti
+from segforge.nifti import read_nifti, write_nifti
 from segforge.svol import read_svol, write_svol
 
 TINY_ROOT = "synth:cases=2,seed=3,dims=8x64x64"
@@ -43,6 +43,11 @@ def cli_run(tmp_path_factory):
     )
     assert code == 0
     return out_dir
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in segforge.__all__ if not hasattr(segforge, name)]
+    assert missing == []
 
 
 class TestParserBasics:
@@ -224,6 +229,25 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: crop ")
 
+    @pytest.mark.parametrize("crop", [[0, 64], [-32, 64]])
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_stored_bad_crop_is_config_error(self, cli_run, tmp_path, capsys, command, crop):
+        ckpt = load_checkpoint(cli_run / "last.ckpt")
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, dict(ckpt.config, crop=crop), restore_model(ckpt))
+        assert run_cli("synth", "--out", str(tmp_path / "cases"), "--cases", "2",
+                       "--dims", "8x64x64") == 0
+        capsys.readouterr()
+        where = (["--data", str(tmp_path / "cases"), "--out", str(tmp_path / "r.json")]
+                 if command == "eval" else
+                 ["--in", str(tmp_path / "cases" / "synth_000"), "--out", str(tmp_path / "m.svol")])
+        assert run_cli(command, "--ckpt", str(bad), *where) == 2
+        assert capsys.readouterr().err.startswith("config error: crop must be")
+        missing = (["--data", str(tmp_path / "void")] if command == "eval" else
+                   ["--in", str(tmp_path / "void" / "c"), "--out", str(tmp_path / "m.svol")])
+        assert run_cli(command, "--ckpt", str(bad), *missing) == 2   # before any data is read
+        assert capsys.readouterr().err.startswith("config error: crop must be")
+
     @pytest.mark.parametrize("size", ["0", "-3"])
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_batch_size_below_one_is_refused_before_reading(self, cli_run, tmp_path, capsys,
@@ -273,6 +297,22 @@ class TestPredictCommand:
                        "--out", str(tmp_path / "mask.nii")) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (tmp_path / "mask.nii").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_voxel_is_data_error(self, cli_run, tmp_path, capsys, value):
+        assert run_cli("synth", "--out", str(tmp_path / "cases"), "--cases", "1",
+                       "--dims", "8x64x64") == 0
+        flair = tmp_path / "cases" / "synth_000" / "synth_000_flair.nii"
+        vol = read_nifti(flair)
+        vol[0, 0, 0] = value   # outside the brain
+        write_nifti(flair, vol)
+        capsys.readouterr()
+        assert run_cli("predict", "--ckpt", str(cli_run / "best.ckpt"),
+                       "--in", str(tmp_path / "cases" / "synth_000"),
+                       "--out", str(tmp_path / "m.svol")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: NaN or infinite voxel values") and flair.name in err
+        assert not (tmp_path / "m.svol").exists()
 
     def test_missing_case_dir_is_data_error(self, cli_run, tmp_path):
         assert run_cli("predict", "--ckpt", str(cli_run / "best.ckpt"),

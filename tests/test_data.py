@@ -14,17 +14,16 @@ import numpy as np
 import pytest
 
 import segforge
-import segforge.data as data_module
 import segforge.errors as errors_module
 
 from segforge.checkpoint import load_checkpoint, model_arrays, save_checkpoint
 from segforge.data import (DEFAULT_CROP, MODALITIES, SynthSpec, VolumeSample,
-                           _nonzero_stats, _squared_deviation_sum, crop_offsets,
+                           _nonzero_stats, _squared_deviation_sum, crop_window,
                            extract_slices, list_cases, load_case,
                            load_data_root, make_batch, normalize_modality,
-                           parse_synth_uri, read_volume, remap_labels,
-                           split_dataset, synth_case, synth_dataset,
-                           synth_lesion_geometry, write_case, write_volume)
+                           parse_synth_uri, read_volume, split_dataset,
+                           synth_case, synth_dataset, synth_lesion_geometry,
+                           write_case, write_volume)
 from segforge.errors import (ConfigError, ContractError, DataError,
                              FormatError, open_output)
 from segforge.layers import Module
@@ -36,21 +35,6 @@ from segforge.train import run_preset, train
 
 from oracles import (reference_checkpoint_bytes, reference_extract_slices,
                      reference_nifti_bytes, reference_read_nifti, reference_svol_bytes)
-
-
-class TestRemapLabels:
-    def test_maps_four_to_three(self):
-        raw = np.array([[0, 1], [2, 4]], dtype=np.int16)
-        out = remap_labels(raw)
-        assert out.dtype == np.uint8
-        np.testing.assert_array_equal(out, [[0, 1], [2, 3]])
-        np.testing.assert_array_equal(raw, [[0, 1], [2, 4]])  # input untouched
-
-    def test_rejects_any_other_value(self):
-        with pytest.raises(DataError):
-            remap_labels(np.array([0, 3], dtype=np.int16))
-        with pytest.raises(DataError):
-            remap_labels(np.array([0, 5], dtype=np.int16))
 
 
 class TestNormalizeModality:
@@ -127,13 +111,24 @@ class TestNonzeroStats:
 
 
 class TestSlicing:
-    def test_crop_offsets_centered(self):
-        assert crop_offsets((80, 80), (64, 64)) == (8, 8)
-        assert crop_offsets((64, 64), (64, 64)) == (0, 0)
-        with pytest.raises(ConfigError):
-            crop_offsets((80, 80), (60, 64))
-        with pytest.raises(DataError, match="smaller than the crop"):   # the case does not fit
-            crop_offsets((60, 60), (64, 64))
+    def test_crop_window_is_centred(self):
+        for dims, crop, want in (((5, 80, 80), (64, 64), np.s_[:, 8:72, 8:72]),
+                                 ((5, 64, 64), (64, 64), np.s_[:, 0:64, 0:64]),
+                                 ((5, 97, 130), [64, 32], np.s_[:, 16:80, 49:81]),
+                                 ((5, 80, 80), (np.int64(32), 64), np.s_[:, 24:56, 8:72])):
+            assert crop_window(dims, crop, "v") == want
+
+    @pytest.mark.parametrize("crop", [(60, 64), (0, 64), (-32, 64), (64,), (64, 64, 64),
+                                      (64.0, 64), (True, 64), 64, "ab", None])
+    def test_bad_crop_is_config_error(self, crop):
+        with pytest.raises(ConfigError, match="crop must be two positive multiples of 32"):
+            crop_window((8, 80, 80), crop, "v")
+
+    def test_volume_that_cannot_hold_the_crop_is_data_error(self):
+        with pytest.raises(DataError, match=r"smaller than the crop \(64, 64\) in v"):
+            crop_window((8, 60, 60), (64, 64), "v")
+        with pytest.raises(DataError, match=r"expected a 3D volume, got dims \[80, 80\] in v"):
+            crop_window((80, 80), (64, 64), "v")
 
     def test_zero_threshold_keeps_every_slice(self):
         sample = synth_case(3, dims=(10, 64, 64))
@@ -148,8 +143,7 @@ class TestSlicing:
         crop = (64, 64)
         thresh = 0.01
         slices = extract_slices(sample, crop=crop, min_foreground_fraction=thresh)
-        oh, ow = crop_offsets((80, 80), crop)
-        cropped = sample.label[:, oh:oh + 64, ow:ow + 64]
+        cropped = sample.label[:, 8:72, 8:72]
         want = [z for z in range(12)
                 if np.count_nonzero(cropped[z]) / (64 * 64) >= thresh]
         np.testing.assert_array_equal(slices.labels, cropped[want])
@@ -169,8 +163,7 @@ class TestSlicing:
         sample = synth_case(6, dims=(8, 96, 128))
         sample.modalities["t2"][:] = 0.0           # all-zero volume passes through
         sample.modalities["t2"][3, 40, 60] = -0.0  # with its sign, inside the window
-        oh, ow = crop_offsets((96, 128), (64, 64))
-        want = np.stack([normalize_modality(sample.modalities[m])[:, oh:oh + 64, ow:ow + 64]
+        want = np.stack([normalize_modality(sample.modalities[m])[:, 16:80, 32:96]
                          for m in MODALITIES], axis=1)
         got = extract_slices(sample, crop=(64, 64), min_foreground_fraction=0.0).images
         assert got.dtype == want.dtype
@@ -797,8 +790,8 @@ class TestCaseIO:
         monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
         label = load_case(tmp_path, "raw", crop=crop).label
         monkeypatch.undo()
-        assert calls == []   # the values are counted, not sorted
-        want = remap_labels(raw) if crop is None else remap_labels(raw)[:, :, 16:80]
+        assert calls == []   # the values are scanned, not sorted
+        want = sample.label if crop is None else sample.label[:, :, 16:80]
         assert label.dtype == want.dtype and label.tobytes() == want.tobytes()
         raw[0, 0, 0] = 3   # 3 and 4 together are neither convention, even outside the window
         write_nifti(case_dir / "raw_seg.nii", raw)
@@ -902,7 +895,6 @@ class TestCroppedLoad:
     def test_cut_case_slices_like_the_whole_case(self, tmp_path, monkeypatch, suffix):
         # small pieces: depth 13 takes several slabs and ends in a short one
         monkeypatch.setattr(errors_module, "PIECE", 100_000)
-        monkeypatch.setattr(data_module, "LABEL_PIECE", 1000)
         sample = synth_case(21, dims=(13, 96, 128), case_id="w")
         for vol in sample.modalities.values():
             vol[-1, 10:40, 20:60] = 0.7   # the short last slab counts towards the stats
@@ -959,12 +951,49 @@ class TestCroppedLoad:
         bad[7, 63, 0] = 7   # outside the crop window
         write_nifti(case_dir / "f_seg.nii", bad)
         messages(DataError, r"label value\(s\) \[7\] outside \[0, 1, 2, 3\]")
+        bad[bad == 3] = 4   # and a raw 4 under the larger max
+        write_nifti(case_dir / "f_seg.nii", bad)
+        messages(DataError, r"label value\(s\) \[7\] outside \[0, 1, 2, 4\]")
         write_nifti(case_dir / "f_seg.nii", sample.label.astype(np.float32) + 0.5)
         messages(DataError, "non-integer label values")
+        for value, dtype, pattern in ((-1, np.int16, r"\[-1\] outside \[0, 1, 2, 3\]"),
+                                      (5.0, np.float32, r"\[5\] outside \[0, 1, 2, 3\]"),
+                                      (np.inf, np.float32, "non-integer label values"),
+                                      (-np.inf, np.float32, "non-integer label values")):
+            bad = sample.label.astype(dtype)
+            bad[0, 0, 95] = value   # outside the crop window
+            write_nifti(case_dir / "f_seg.nii", bad)
+            messages(DataError, pattern)
         (case_dir / "f_seg.nii").write_bytes(seg)
         write_nifti(case_dir / "f_flair.nii", np.ones((8, 32, 96), dtype=np.float32))
         with pytest.raises(DataError, match="smaller than the crop"):
             load_case(tmp_path, "f", crop=(64, 64))
+
+    @pytest.mark.parametrize("crop", [(60, 64), (0, 64), (-32, 64), (64,), (64, 64, 64),
+                                      (64.0, 64)])
+    def test_bad_crop_is_config_error_in_every_load(self, tmp_path, crop):
+        sample = synth_case(25, dims=(8, 64, 96), case_id="c")
+        with pytest.raises(ConfigError, match="crop must be"):   # before the missing case
+            load_case(tmp_path, "c", crop=crop)
+        write_case(sample, tmp_path)
+        for cut in (sample, load_case(tmp_path, "c"), load_case(tmp_path, "c", crop=(64, 64))):
+            with pytest.raises(ConfigError, match="crop must be"):
+                extract_slices(cut, crop)
+        with pytest.raises(ConfigError, match="crop must be"):
+            load_case(tmp_path, "c", crop=crop)
+
+    @pytest.mark.parametrize("values", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]])
+    def test_non_finite_voxel_is_data_error(self, tmp_path, values):
+        sample = synth_case(26, dims=(8, 64, 96), case_id="n")
+        # outside the brain and the crop window
+        sample.modalities["t2"][0, 0, :len(values)] = values
+        with pytest.raises(DataError, match="NaN or infinite voxel values in 't2' of case n"):
+            extract_slices(sample, (64, 64))
+        write_case(sample, tmp_path)
+        with pytest.raises(DataError, match="NaN or infinite voxel values in 't2' of case n"):
+            extract_slices(load_case(tmp_path, "n"), (64, 64))
+        with pytest.raises(DataError, match=r"NaN or infinite voxel values in \S*n_t2\.nii"):
+            load_case(tmp_path, "n", crop=(64, 64))
 
     def test_streamed_load_holds_windows_only(self, tmp_path):
         write_case(synth_case(24, dims=(48, 240, 240), case_id="m"), tmp_path)
