@@ -13,8 +13,7 @@ from .tensor import Tensor, backward, no_grad
 from .model import ModelConfig, PRESETS, SegmentationModel, build_model
 from .metrics import (binary_dice, binary_iou, dice_score, iou_score, mean_iou,
                       pixel_accuracy, soft_dice_loss)
-from .data import (VolumeSample, extract_slices, load_case, normalize_modality,
-                   split_dataset, synth_case)
+from .data import VolumeSample, extract_slices, load_case, split_dataset, synth_case
 from .nifti import read_nifti, write_nifti
 from .svol import read_svol, write_svol
 from .checkpoint import load_checkpoint, restore_model, save_checkpoint
@@ -29,8 +28,7 @@ __all__ = [
     "ModelConfig", "PRESETS", "SegmentationModel", "build_model",
     "binary_dice", "binary_iou", "dice_score", "iou_score", "mean_iou",
     "pixel_accuracy", "soft_dice_loss",
-    "VolumeSample", "extract_slices", "load_case", "normalize_modality",
-    "split_dataset", "synth_case",
+    "VolumeSample", "extract_slices", "load_case", "split_dataset", "synth_case",
     "read_nifti", "write_nifti", "read_svol", "write_svol",
     "load_checkpoint", "restore_model", "save_checkpoint",
     "Adam",

@@ -12,7 +12,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .data import parse_synth_uri, read_volume, synth_dataset, write_case, write_volume
+from .data import (SynthSpec, parse_synth_uri, read_volume, synth_dataset, volume_spacing,
+                   write_case, write_volume)
 from .errors import ConfigError, DataError, SegforgeError
 from .train import (RunConfig, apply_overrides, evaluate, format_report,
                     predict, run_preset, train)
@@ -26,6 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("train", help="train a model from a run config")
+    t.set_defaults(handler=cmd_train)
     t.add_argument("--config", help="run config JSON file")
     t.add_argument("--preset", choices=("full", "desk"),
                    help="start from a named config instead of a file")
@@ -34,6 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--quiet", action="store_true", help="suppress per-epoch progress")
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
+    e.set_defaults(handler=cmd_eval)
     e.add_argument("--ckpt", required=True)
     e.add_argument("--data", required=True, help="data root directory or synth: URI")
     e.add_argument("--split", default="val", choices=("train", "val", "all"))
@@ -42,20 +45,24 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--batch-size", type=int, default=8)
 
     pr = sub.add_parser("predict", help="segment one case directory")
+    pr.set_defaults(handler=cmd_predict)
     pr.add_argument("--ckpt", required=True)
     pr.add_argument("--in", dest="in_path", required=True, metavar="CASE_DIR")
     pr.add_argument("--out", required=True, metavar="MASK.svol")
     pr.add_argument("--batch-size", type=int, default=8)
 
     s = sub.add_parser("synth", help="generate a synthetic dataset on disk")
-    s.add_argument("--seed", type=int, default=1)
-    s.add_argument("--cases", type=int, default=4)
+    s.set_defaults(handler=cmd_synth)
+    s.add_argument("--seed", type=int, default=SynthSpec.seed, help="default: %(default)s")
+    s.add_argument("--cases", type=int, default=SynthSpec.cases, help="default: %(default)s")
     s.add_argument("--out", required=True, metavar="DIR")
-    s.add_argument("--dims", default="12x80x80", metavar="DxHxW")
-    s.add_argument("--lesions", type=int, default=2)
+    s.add_argument("--dims", default="x".join(map(str, SynthSpec.dims)), metavar="DxHxW",
+                   help="default: %(default)s")
+    s.add_argument("--lesions", type=int, default=SynthSpec.lesions, help="default: %(default)s")
     s.add_argument("--format", default="nii", choices=("nii", "svol"))
 
     c = sub.add_parser("convert", help="convert a volume between .nii and .svol")
+    c.set_defaults(handler=cmd_convert)
     c.add_argument("--in", dest="in_path", required=True)
     c.add_argument("--out", required=True)
     return p
@@ -112,24 +119,15 @@ def cmd_synth(args) -> int:
 
 def cmd_convert(args) -> int:
     arr = read_volume(args.in_path)
-    write_volume(args.out, arr)
+    write_volume(args.out, arr, volume_spacing(args.in_path))
     print(f"wrote {args.out} (shape {'x'.join(map(str, arr.shape))}, dtype {arr.dtype})")
     return 0
-
-
-_HANDLERS = {
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "predict": cmd_predict,
-    "synth": cmd_synth,
-    "convert": cmd_convert,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

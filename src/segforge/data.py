@@ -16,13 +16,16 @@ cuts a case into one `SliceBatch`, a pair of stacked arrays (images and
 labels), and `make_batch` indexes batches out of it.
 
 Everything is deterministic: synthetic cases are pure functions of their
-seed, and splits are pure functions of (ids, fraction, seed). `load_case`
-decodes a case's files on one thread each. Given a crop, it streams each
-file a slab of whole z-slices at a time into what slicing needs: the crop
-window, and each modality's whole-volume stats. So training on a directory
-root (`load_data_root`) holds only every case's windows, and evaluation
-and prediction, which load one case at a time (`case_loaders`), never hold
-a whole volume of a case.
+seed, and splits are pure functions of (ids, fraction, seed). `SynthSpec`
+holds every synthetic-case default and limit, for `synth:` data roots,
+`synth_case` and the CLI alike.
+
+`load_case` decodes a case's files on one thread each. Given a crop, it
+streams each file a slab of whole z-slices at a time into what slicing
+needs: the crop window, and each modality's whole-volume stats. So
+training on a directory root (`load_data_root`) holds only every case's
+windows, and evaluation and prediction, which load one case at a time
+(`case_loaders`), never hold a whole volume of a case.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import functools
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -140,12 +143,6 @@ def _zscore(vol: np.ndarray, stats) -> np.ndarray:
     out = np.zeros(vol.shape, dtype=np.float32)
     out[mask] = ((vol[mask] - mu) / sigma).astype(np.float32)
     return out
-
-
-def normalize_modality(volume: np.ndarray) -> np.ndarray:
-    """Z-score over nonzero (brain) voxels; background zeros stay zero."""
-    vol = np.asarray(volume, dtype=np.float32)
-    return _zscore(vol, _nonzero_stats(vol))
 
 
 def check_crop(crop) -> None:
@@ -270,6 +267,11 @@ def read_volume(path: str | Path, sink=None):
     return read_svol(path, sink) if _is_svol(path) else read_nifti(path, sink)
 
 
+def volume_spacing(path: str | Path) -> Optional[tuple[float, float, float]]:
+    """The voxel spacing a volume file records: its NIfTI header's, or None for .svol."""
+    return None if _is_svol(path) else read_spacing(path)
+
+
 def write_volume(path: str | Path, volume: np.ndarray,
                  spacing: Optional[tuple[float, float, float]] = None) -> None:
     """Store a volume in the format its suffix names; .svol drops the spacing."""
@@ -389,8 +391,7 @@ def load_case(root: str | Path, case_id: str, require_seg: bool = True,
             parts["seg"] = reads["seg"].result()
         elif require_seg:
             raise DataError(f"missing segmentation file in {case_dir}")
-    spacing = next((read_spacing(paths[name]) for name in MODALITIES
-                    if not _is_svol(paths[name])), None)
+    spacing = next(filter(None, (volume_spacing(paths[name]) for name in MODALITIES)), None)
 
     dims = parts[MODALITIES[0]][0]
     for name in MODALITIES:
@@ -497,24 +498,40 @@ def _sample_lesions(rng: np.random.Generator, dims, num_lesions) -> list[LesionG
     return out
 
 
-def synth_lesion_geometry(seed, dims=(12, 80, 80), num_lesions: int = 2) -> list[LesionGeometry]:
+@dataclass(frozen=True)
+class SynthSpec:
+    """Every synthetic-case default and limit: a ConfigError unless cases >= 1,
+    dims are three values, each at least SYNTH_MIN_DIMS, and lesions >= 0."""
+    cases: int = 4
+    seed: int = 1
+    dims: tuple[int, int, int] = (12, 80, 80)
+    lesions: int = 2
+
+    def __post_init__(self):
+        if self.cases < 1:
+            raise ConfigError(f"synth dataset needs at least 1 case, got {self.cases}")
+        if len(self.dims) != 3 or any(d < m for d, m in zip(self.dims, SYNTH_MIN_DIMS)):
+            raise ConfigError(f"synth dims must be >= {SYNTH_MIN_DIMS}, got {self.dims}")
+        if self.lesions < 0:
+            raise ConfigError(f"synth lesions must be >= 0, got {self.lesions}")
+
+
+def synth_lesion_geometry(seed, dims=SynthSpec.dims,
+                          num_lesions: int = SynthSpec.lesions) -> list[LesionGeometry]:
     """Lesion centers/axes that synth_case(seed, ...) will render."""
     return _sample_lesions(np.random.default_rng(seed), dims, num_lesions)
 
 
-def synth_case(seed, dims=(12, 80, 80), num_lesions: int = 2,
+def synth_case(seed, dims=SynthSpec.dims, num_lesions: int = SynthSpec.lesions,
                case_id: Optional[str] = None) -> VolumeSample:
     """Deterministic synthetic case: ellipsoidal brain with nested-shell lesions.
 
     Each lesion is three concentric ellipsoids labeled 2 (edema, outermost),
     1, then 3 (core). Modality intensities are a per-modality base plus fixed
     per-label offsets plus Gaussian noise, exactly zero outside the brain.
+    Dims and lesions outside `SynthSpec`'s limits are a ConfigError.
     """
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3 or any(d < m for d, m in zip(dims, SYNTH_MIN_DIMS)):
-        raise ContractError(f"synthetic dims must be >= {SYNTH_MIN_DIMS}, got {dims}")
-    if num_lesions < 0:
-        raise ContractError(f"num_lesions must be >= 0, got {num_lesions}")
+    dims = SynthSpec(dims=tuple(int(d) for d in dims), lesions=num_lesions).dims
 
     rng = np.random.default_rng(seed)
     lesions = _sample_lesions(rng, dims, num_lesions)
@@ -555,35 +572,22 @@ def synth_case(seed, dims=(12, 80, 80), num_lesions: int = 2,
                         spacing=(1.0, 1.0, 1.0))
 
 
-@dataclass(frozen=True)
-class SynthSpec:
-    """Parameters behind a `synth:` data root."""
-    cases: int = 4
-    seed: int = 1
-    dims: tuple[int, int, int] = (12, 80, 80)
-    lesions: int = 2
-
-
 def parse_synth_uri(uri: str) -> SynthSpec:
-    """Parse `synth:cases=4,seed=1,dims=12x80x80,lesions=2` (all keys optional)."""
+    """Parse `synth:cases=4,seed=1,dims=12x80x80,lesions=2` (all keys optional), each
+    key by the type of its `SynthSpec` field: an int, or `x`-separated ints for a tuple."""
     if not uri.startswith("synth:"):
         raise ConfigError(f"not a synth data root: {uri}")
+    defaults = {f.name: f.default for f in fields(SynthSpec)}
     kwargs = {}
-    body = uri[len("synth:"):]
-    for entry in filter(None, body.split(",")):
+    for entry in filter(None, uri[len("synth:"):].split(",")):
         if "=" not in entry:
             raise ConfigError(f"bad synth parameter '{entry}' (expected key=value)")
         key, value = entry.split("=", 1)
+        if key not in defaults:
+            raise ConfigError(f"unknown synth parameter '{key}'")
         try:
-            if key in ("cases", "seed", "lesions"):
-                kwargs[key] = int(value)
-            elif key == "dims":
-                dims = tuple(int(v) for v in value.split("x"))
-                if len(dims) != 3:
-                    raise ValueError(value)
-                kwargs["dims"] = dims
-            else:
-                raise ConfigError(f"unknown synth parameter '{key}'")
+            kwargs[key] = (tuple(int(v) for v in value.split("x"))
+                           if isinstance(defaults[key], tuple) else int(value))
         except ValueError:
             raise ConfigError(f"bad synth value '{entry}'") from None
     return SynthSpec(**kwargs)
@@ -591,12 +595,6 @@ def parse_synth_uri(uri: str) -> SynthSpec:
 
 def _synth_loaders(spec: SynthSpec) -> dict[str, Callable[[], VolumeSample]]:
     """A synth spec's case ids, each with the call that generates that case."""
-    if spec.cases < 1:
-        raise ConfigError(f"synth dataset needs at least 1 case, got {spec.cases}")
-    if any(d < m for d, m in zip(spec.dims, SYNTH_MIN_DIMS)):
-        raise ConfigError(f"synth dims must be >= {SYNTH_MIN_DIMS}, got {spec.dims}")
-    if spec.lesions < 0:
-        raise ConfigError(f"synth lesions must be >= 0, got {spec.lesions}")
     return {f"synth_{i:03d}": functools.partial(
                 synth_case, seed=[spec.seed, i], dims=spec.dims, num_lesions=spec.lesions,
                 case_id=f"synth_{i:03d}")

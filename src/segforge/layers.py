@@ -2,7 +2,8 @@
 
 Every functional op records a single tape node with an analytic backward
 rule. Convolution is cross-correlation (no kernel flip) over zero-padded
-input; weights are OIHW. conv2d has three lowerings, chosen by shape alone.
+input; weights are OIHW. conv2d has three bias-free lowerings, chosen by
+shape alone, and adds the bias once to the NCHW output of whichever ran.
 
 Taps, for stride-1 convs with a kernel larger than 1x1 on input planes of
 at least TAP_MIN_PLANE = 16x16 pixels (kn2row: Vasudevan, Anderson & Gregg,
@@ -114,7 +115,11 @@ def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """2D cross-correlation of NCHW input with OIHW weights."""
+    """2D cross-correlation of NCHW input with OIHW weights, plus a per-channel bias.
+
+    One of three lowerings computes the bias-free output and its rule; the
+    bias is then added here, one add per output element whichever ran.
+    """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d needs rank-4 input and weight, got {x.shape}, {weight.shape}")
     if stride < 1 or padding < 0:
@@ -130,18 +135,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     if bias is not None and bias.shape != (oc,):
         raise ShapeError(f"conv2d bias must have shape ({oc},), got {bias.shape}")
 
-    b = bias.data if bias is not None else None
     if kh * kw == 1 and padding == 0 and oh * ow >= POINTWISE_MIN_PLANE:
-        out, backprop = _pointwise_conv(x.data, weight.data, b, stride)
+        out, backprop = _pointwise_conv(x.data, weight.data, stride)
     elif stride == 1 and kh * kw > 1 and h * w >= TAP_MIN_PLANE:
-        out, backprop = _tap_conv(x.data, weight.data, b, padding)
+        out, backprop = _tap_conv(x.data, weight.data, padding)
     else:
-        out, backprop = _im2col_conv(x.data, weight.data, b, (oh, ow), stride, padding)
+        out, backprop = _im2col_conv(x.data, weight.data, (oh, ow), stride, padding)
+    if bias is not None:
+        out += bias.data.reshape(1, oc, 1, 1)
 
     def grad_fn(g):
         # the input gradient is skipped when nothing reads it (the image batch)
         gx, gw = backprop(g, x.requires_grad)
-        if b is None:
+        if bias is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))
 
@@ -149,8 +155,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     return record("conv2d", inputs, out, grad_fn)
 
 
-def _im2col_conv(x, weight, b, osize, stride, padding):
-    """Forward output and (gx, gw) rule of one conv as three GEMMs on `cols`.
+def _im2col_conv(x, weight, osize, stride, padding):
+    """Bias-free forward output and (gx, gw) rule of one conv as three GEMMs on `cols`.
 
     The rule takes the upstream gradient and whether gx is needed; without
     it, the gx GEMM and col2im are skipped and gx is None.
@@ -160,8 +166,6 @@ def _im2col_conv(x, weight, b, osize, stride, padding):
     oh, ow = osize
     wmat = weight.reshape(oc, -1)
     flat = _image_to_cols(x, (kh, kw), osize, stride, padding) @ wmat.T
-    if b is not None:
-        flat += b
     out = np.ascontiguousarray(flat.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2))
 
     def backprop(g, need_gx):
@@ -176,8 +180,8 @@ def _im2col_conv(x, weight, b, osize, stride, padding):
     return out, backprop
 
 
-def _pointwise_conv(x, weight, b, stride):
-    """Forward output and (gx, gw) rule of an unpadded 1x1 conv, channel-major.
+def _pointwise_conv(x, weight, stride):
+    """Bias-free forward output and (gx, gw) rule of an unpadded 1x1 conv, channel-major.
 
     The forward is one (oc, c) @ (c, oh*ow) GEMM per image on the NCHW input,
     every `stride`-th pixel taken, and the input gradient its transpose,
@@ -191,8 +195,6 @@ def _pointwise_conv(x, weight, b, stride):
     oh, ow = xs.shape[2:]
     wmat = weight.reshape(oc, c)
     out = np.matmul(wmat, xs.reshape(n, c, oh * ow)).reshape(n, oc, oh, ow)
-    if b is not None:
-        out += b.reshape(1, oc, 1, 1)
 
     def backprop(g, need_gx):
         gw = (_channels_last(g).T @ _channels_last(xs)).reshape(weight.shape)
@@ -213,8 +215,8 @@ def _channels_last(a):
     return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).reshape(-1, a.shape[1])
 
 
-def _tap_conv(x, weight, b, padding):
-    """Forward output and (gx, gw) rule of a stride-1 conv as one GEMM per tap.
+def _tap_conv(x, weight, padding):
+    """Bias-free forward output and (gx, gw) rule of a stride-1 conv as one GEMM per tap.
 
     `xp` holds the padded images channel-major, flattened to (c, n*hp*wp)
     plus a zero tail, so that tap (i, j) of output column q reads column
@@ -243,8 +245,6 @@ def _tap_conv(x, weight, b, padding):
     for t in range(1, kh * kw):
         acc += np.matmul(taps[t], xp[:, offsets[t]:offsets[t] + m], out=tmp)
     out = np.ascontiguousarray(acc.reshape(oc, n, hp, wp)[:, :, :oh, :ow].transpose(1, 0, 2, 3))
-    if b is not None:
-        out += b.reshape(1, oc, 1, 1)
 
     def backprop(g, need_gx):
         xp, taps = operands()

@@ -149,13 +149,16 @@ def write_nifti(path: str | os.PathLike, volume: np.ndarray,
                 spacing: tuple[float, float, float] | None = None) -> None:
     """Store a [D, H, W] array as a single-file NIfTI-1 volume, no scaling.
 
-    The dtype is checked and the header built before the file is opened;
+    The dims (each at most 32767, the int16 the header stores them in) and
+    the dtype are checked and the header built before the file is opened;
     the payload is then written from the stored array's own buffer (the
     volume itself when it is already C-ordered in its stored dtype), through
     the compressor for `.nii.gz`.
     """
     if volume.ndim != 3:
         raise FormatError(f"write_nifti needs a 3D array, got shape {volume.shape}")
+    if max(volume.shape) > 32767:
+        raise FormatError(f"NIfTI-1 dims are int16, at most 32767, got shape {volume.shape}")
     base = volume.dtype
     if base not in _CODE_FOR_DTYPE:
         if base.kind != "f":

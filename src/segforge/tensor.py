@@ -266,35 +266,28 @@ def _unbroadcast(g: Array, shape: tuple) -> Array:
 # elementwise ops
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def _broadcast_op(op: str, a: Tensor, b: Tensor, fn, rule) -> Tensor:
+    """Node `op` of `fn(a, b)`; `rule(g)` gives both inputs' gradients before unbroadcasting."""
     _broadcast_shape(a.shape, b.shape)
-    out = a.data + b.data
 
     def grad_fn(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        ga, gb = rule(g)
+        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
-    return record("add", (a, b), out, grad_fn)
+    return record(op, (a, b), fn(a.data, b.data), grad_fn)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    return _broadcast_op("add", a, b, np.add, lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_shape(a.shape, b.shape)
-    out = a.data - b.data
-
-    def grad_fn(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return record("sub", (a, b), out, grad_fn)
+    return _broadcast_op("sub", a, b, np.subtract, lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_shape(a.shape, b.shape)
-    out = a.data * b.data
     ad, bd = a.data, b.data
-
-    def grad_fn(g):
-        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
-
-    return record("mul", (a, b), out, grad_fn)
+    return _broadcast_op("mul", a, b, np.multiply, lambda g: (g * bd, g * ad))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:

@@ -371,31 +371,37 @@ def reference_nifti_bytes(volume, spacing=None, gz_path=None):
 # slicing reference: the per-slice loop that the stacked extract_slices replaced
 
 
+def normalize_modality(volume):
+    """Z-score over nonzero (brain) voxels in float64; background zeros stay +0.0.
+
+    A volume without a nonzero voxel is copied as it is, signed zeros kept;
+    the std is floored at 1e-8.
+    """
+    vol = np.asarray(volume, dtype=np.float32)
+    mask = vol != 0
+    vals = vol[mask]
+    if not vals.size:
+        return vol.copy()
+    out = np.zeros(vol.shape, dtype=np.float32)
+    mu = vals.mean(dtype=np.float64)
+    sigma = max(float(vals.std(dtype=np.float64)), 1e-8)
+    out[mask] = ((vals - mu) / sigma).astype(np.float32)
+    return out
+
+
 def reference_extract_slices(sample, crop, min_foreground_fraction):
     """A case's kept axial slices as stacked (images [S,3,H,W], labels [S,H,W]).
 
-    Each modality is z-scored over its whole volume's nonzero voxels (a
-    volume without any is copied as it is) and center-cropped; then one
-    slice at a time is kept when its label foreground fraction reaches the
-    threshold, and the kept slices are stacked.
+    Each modality is z-scored over its whole volume's nonzero voxels
+    (`normalize_modality`) and center-cropped; then one slice at a time is
+    kept when its label foreground fraction reaches the threshold, and the
+    kept slices are stacked.
     """
     d, h, w = sample.label.shape
     ch, cw = crop
     oh, ow = (h - ch) // 2, (w - cw) // 2
-    normed = []
-    for name in ("t1ce", "t2", "flair"):
-        vol = np.asarray(sample.modalities[name], dtype=np.float32)
-        win = vol[:, oh:oh + ch, ow:ow + cw]
-        vals = vol[vol != 0]
-        if vals.size:
-            mu = vals.mean(dtype=np.float64)
-            sigma = max(float(vals.std(dtype=np.float64)), 1e-8)
-            out = np.zeros(win.shape, dtype=np.float32)
-            inside = win != 0
-            out[inside] = ((win[inside] - mu) / sigma).astype(np.float32)
-        else:
-            out = win.copy()
-        normed.append(out)
+    normed = [normalize_modality(sample.modalities[name])[:, oh:oh + ch, ow:ow + cw]
+              for name in ("t1ce", "t2", "flair")]
     labels = sample.label[:, oh:oh + ch, ow:ow + cw]
     images, kept = [], []
     for z in range(d):

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, end-to-end flows."""
 
+import argparse
 import gzip
 import importlib
 import json
@@ -17,9 +18,11 @@ import pytest
 import segforge
 from segforge import __version__
 from segforge.checkpoint import load_checkpoint, restore_model, save_checkpoint
-from segforge.cli import main
-from segforge.data import MODALITIES, VolumeSample, write_case
-from segforge.nifti import read_nifti, write_nifti
+from segforge.cli import build_parser, main
+from segforge.data import (MODALITIES, SynthSpec, VolumeSample, load_case, parse_synth_uri,
+                           synth_case, synth_dataset, write_case)
+from segforge.errors import ConfigError
+from segforge.nifti import read_nifti, read_spacing, write_nifti
 from segforge.svol import read_svol, write_svol
 
 TINY_ROOT = "synth:cases=2,seed=3,dims=8x64x64"
@@ -67,6 +70,32 @@ class TestParserBasics:
             run_cli("eval", "--ckpt", str(cli_run / "best.ckpt"),
                     "--data", TINY_ROOT, "--split", "test")
         assert exc.value.code == 2
+
+
+def _subcommands():
+    """Each subcommand the parser declares, with its sub-parser."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+class TestEverySubcommand:
+    """A sub-parser added without a handler fails here, not for a user."""
+
+    @pytest.mark.parametrize("command", sorted(_subcommands()))
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--help")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: segforge {command}")
+
+    @pytest.mark.parametrize("command", sorted(_subcommands()))
+    def test_minimal_command_line_has_a_handler(self, command):
+        argv = [command]
+        for action in _subcommands()[command]._actions:
+            if action.required:   # a value every type and choice list accepts
+                argv += [action.option_strings[0], next(iter(action.choices or ["1"]))]
+        args = build_parser().parse_args(argv)
+        assert callable(args.handler) and args.handler.__name__ == f"cmd_{command}"
 
 
 class TestTrainCommand:
@@ -351,6 +380,42 @@ class TestSynthCommand:
         assert not (tmp_path / "s").exists()
 
 
+class TestSynthDefaults:
+    """`SynthSpec` is the one home of every synthetic-case default and limit."""
+
+    def test_every_entry_point_makes_the_same_default_case(self, tmp_path):
+        from_case = synth_case([SynthSpec.seed, 0], case_id="synth_000")
+        from_spec = synth_dataset(SynthSpec())[0]
+        from_uri = synth_dataset(parse_synth_uri("synth:"))[0]
+        assert run_cli("synth", "--out", str(tmp_path)) == 0
+        from_cli = load_case(tmp_path, "synth_000")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"synth_{i:03d}" for i in range(SynthSpec.cases)]
+        for sample in (from_spec, from_uri, from_cli):
+            assert sample.case_id == from_case.case_id
+            assert sample.label.tobytes() == from_case.label.tobytes()
+            for m in MODALITIES:
+                assert sample.modalities[m].tobytes() == from_case.modalities[m].tobytes()
+
+    # synth_case makes one case, so it has no case count to refuse
+    @pytest.mark.parametrize("key,value,flag,case_kwargs", [
+        ("dims", (4, 4, 4), "4x4x4", {"dims": (4, 4, 4)}),
+        ("lesions", -1, "-1", {"num_lesions": -1}),
+        ("cases", 0, "0", None)])
+    def test_every_entry_point_refuses_the_same_values(self, tmp_path, capsys,
+                                                       key, value, flag, case_kwargs):
+        with pytest.raises(ConfigError, match=f"synth {key}|synth dataset"):
+            SynthSpec(**{key: value})
+        if case_kwargs is not None:
+            with pytest.raises(ConfigError, match=f"synth {key}"):
+                synth_case(0, **case_kwargs)
+        with pytest.raises(ConfigError, match=f"synth {key}|synth dataset"):
+            parse_synth_uri(f"synth:{key}={flag}")
+        assert run_cli("synth", "--out", str(tmp_path / "s"), f"--{key}", flag) == 2
+        assert capsys.readouterr().err.startswith("config error: synth ")
+        assert not (tmp_path / "s").exists()
+
+
 class TestConvertCommand:
     def test_nii_svol_round_trip(self, tmp_path, capsys):
         arr = np.random.default_rng(0).normal(0, 1, (4, 5, 6)).astype(np.float32)
@@ -362,6 +427,29 @@ class TestConvertCommand:
         assert run_cli("convert", "--in", str(mid), "--out", str(back)) == 0
         np.testing.assert_array_equal(read_svol(back), arr)
         assert "shape 4x5x6" in capsys.readouterr().out
+
+    def test_nifti_spacing_survives_conversion(self, tmp_path):
+        arr = np.random.default_rng(1).normal(0, 1, (3, 4, 5)).astype(np.float32)
+        paths = [tmp_path / name for name in ("a.nii.gz", "b.nii", "c.nii.gz", "d.svol",
+                                              "e.nii")]
+        write_nifti(paths[0], arr, spacing=(2.5, 1.5, 0.75))
+        for src, dst in zip(paths, paths[1:]):
+            assert run_cli("convert", "--in", str(src), "--out", str(dst)) == 0
+        for path in paths[1:3]:
+            assert read_spacing(path) == (2.5, 1.5, 0.75)
+            assert read_nifti(path).tobytes() == arr.tobytes()
+        # an .svol stores no spacing, so a NIfTI made from one has unit spacing
+        assert read_spacing(paths[4]) == (1.0, 1.0, 1.0)
+        assert read_nifti(paths[4]).tobytes() == arr.tobytes()
+
+    def test_volume_too_wide_for_nifti_is_format_error(self, tmp_path, capsys):
+        src = tmp_path / "wide.svol"
+        write_svol(src, np.zeros((1, 1, 40000), dtype=np.uint8))
+        assert run_cli("convert", "--in", str(src), "--out", str(tmp_path / "wide.nii")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "at most 32767" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.svol"]
 
     def test_unknown_extension_is_config_error(self, tmp_path):
         src = tmp_path / "a.svol"

@@ -20,10 +20,9 @@ from segforge.checkpoint import load_checkpoint, model_arrays, save_checkpoint
 from segforge.data import (DEFAULT_CROP, MODALITIES, SynthSpec, VolumeSample,
                            _nonzero_stats, _squared_deviation_sum, crop_window,
                            extract_slices, list_cases, load_case,
-                           load_data_root, make_batch, normalize_modality,
-                           parse_synth_uri, read_volume, split_dataset,
-                           synth_case, synth_dataset, synth_lesion_geometry,
-                           write_case, write_volume)
+                           load_data_root, make_batch, parse_synth_uri,
+                           read_volume, split_dataset, synth_case, synth_dataset,
+                           synth_lesion_geometry, write_case, write_volume)
 from segforge.errors import (ConfigError, ContractError, DataError,
                              FormatError, open_output)
 from segforge.layers import Module
@@ -33,11 +32,14 @@ from segforge.svol import read_svol, write_svol
 from segforge.tensor import Tensor
 from segforge.train import run_preset, train
 
-from oracles import (reference_checkpoint_bytes, reference_extract_slices,
-                     reference_nifti_bytes, reference_read_nifti, reference_svol_bytes)
+from oracles import (normalize_modality, reference_checkpoint_bytes,
+                     reference_extract_slices, reference_nifti_bytes,
+                     reference_read_nifti, reference_svol_bytes)
 
 
 class TestNormalizeModality:
+    """The z-score oracle that the slicing tests compare `extract_slices` against."""
+
     def test_zscore_over_nonzero_voxels_only(self):
         rng = np.random.default_rng(0)
         vol = np.zeros((4, 8, 8), dtype=np.float32)
@@ -283,11 +285,11 @@ class TestSynthCase:
         assert sample.modalities["flair"].any()
 
     def test_rejects_tiny_dims(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             synth_case(0, dims=(4, 64, 64))
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             synth_case(0, dims=(8, 32, 64))
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             synth_case(0, dims=(8, 64, 64), num_lesions=-1)
 
     def test_lesion_voxel_count_tracks_analytic_volume(self):
@@ -338,9 +340,9 @@ class TestSynthSpecAndRoots:
         for a, b in zip(cases, again):
             np.testing.assert_array_equal(a.label, b.label)
         assert not np.array_equal(cases[0].label, cases[1].label)
-        for bad in (SynthSpec(cases=0), SynthSpec(dims=(4, 4, 4)), SynthSpec(lesions=-1)):
+        for bad in ({"cases": 0}, {"dims": (4, 4, 4)}, {"lesions": -1}):
             with pytest.raises(ConfigError):
-                synth_dataset(bad)
+                synth_dataset(SynthSpec(**bad))
 
     def test_load_data_root_synth_uri(self):
         cases = load_data_root("synth:cases=2,seed=1,dims=8x64x64", (64, 64))
@@ -521,6 +523,16 @@ class TestNiftiReader:
             assert back.dtype == dtype
             np.testing.assert_array_equal(back, arr)
             assert read_spacing(path) == (2.0, 0.5, 0.25)
+
+    @pytest.mark.parametrize("name", ["wide.nii", "wide.nii.gz"])
+    def test_dims_beyond_int16_are_refused_before_opening(self, tmp_path, name):
+        # NIfTI-1 stores each dim as an int16
+        for shape in ((1, 1, 32768), (40000, 1, 1)):
+            with pytest.raises(FormatError, match="at most 32767"):
+                write_nifti(tmp_path / name, np.zeros(shape, dtype=np.uint8))
+        assert not list(tmp_path.iterdir())
+        write_nifti(tmp_path / name, np.zeros((1, 1, 32767), dtype=np.uint8))
+        assert read_nifti(tmp_path / name).shape == (1, 1, 32767)
 
     def test_gzip_round_trip(self, tmp_path):
         arr = np.random.default_rng(1).normal(0, 1, (2, 3, 4)).astype(np.float32)
