@@ -17,8 +17,8 @@ labels), and `make_batch` indexes batches out of it.
 
 Everything is deterministic: synthetic cases are pure functions of their
 seed, and splits are pure functions of (ids, fraction, seed). `SynthSpec`
-holds every synthetic-case default and limit, for `synth:` data roots,
-`synth_case` and the CLI alike.
+holds every synthetic-case default and declares each one's range, for
+`synth:` data roots, `synth_case` and the CLI alike.
 
 `load_case` decodes a case's files on one thread each. Given a crop, it
 streams each file a slab of whole z-slices at a time into what slicing
@@ -35,11 +35,12 @@ import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Annotated, Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError, make_dirs
+from .model import Count, Range, Seed, check_ranges
 from .nifti import read_nifti, read_spacing, write_nifti
 from .svol import read_svol, write_svol
 
@@ -500,20 +501,14 @@ def _sample_lesions(rng: np.random.Generator, dims, num_lesions) -> list[LesionG
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Every synthetic-case default and limit: a ConfigError unless cases >= 1,
-    dims are three values, each at least SYNTH_MIN_DIMS, and lesions >= 0."""
-    cases: int = 4
-    seed: int = 1
-    dims: tuple[int, int, int] = (12, 80, 80)
-    lesions: int = 2
+    """Every synthetic-case default; each field's range is declared in its annotation."""
+    cases: Count = 4
+    seed: Seed = 1
+    dims: Annotated[tuple[int, int, int], Range(SYNTH_MIN_DIMS)] = (12, 80, 80)
+    lesions: Annotated[int, Range(0)] = 2
 
     def __post_init__(self):
-        if self.cases < 1:
-            raise ConfigError(f"synth dataset needs at least 1 case, got {self.cases}")
-        if len(self.dims) != 3 or any(d < m for d, m in zip(self.dims, SYNTH_MIN_DIMS)):
-            raise ConfigError(f"synth dims must be >= {SYNTH_MIN_DIMS}, got {self.dims}")
-        if self.lesions < 0:
-            raise ConfigError(f"synth lesions must be >= 0, got {self.lesions}")
+        check_ranges(self, "synth ")
 
 
 def synth_lesion_geometry(seed, dims=SynthSpec.dims,
@@ -529,7 +524,7 @@ def synth_case(seed, dims=SynthSpec.dims, num_lesions: int = SynthSpec.lesions,
     Each lesion is three concentric ellipsoids labeled 2 (edema, outermost),
     1, then 3 (core). Modality intensities are a per-modality base plus fixed
     per-label offsets plus Gaussian noise, exactly zero outside the brain.
-    Dims and lesions outside `SynthSpec`'s limits are a ConfigError.
+    Dims and lesions outside `SynthSpec`'s ranges are a ConfigError.
     """
     dims = SynthSpec(dims=tuple(int(d) for d in dims), lesions=num_lesions).dims
 

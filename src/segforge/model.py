@@ -8,8 +8,8 @@ stage outputs) feed a nearest-upsample decoder with skip concatenation.
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Annotated, Optional
 
 import numpy as np
 
@@ -21,6 +21,47 @@ from .tensor import Tensor, add, grad_enabled, mul, relu, reshape, sigmoid
 EXPANSION = 4  # bottleneck output channels = EXPANSION * mid width
 
 
+@dataclass(frozen=True)
+class Range:
+    """A numeric field's range, declared in its annotation: `Annotated[int, Range(1)]`. `lo` is
+    inclusive (exclusive if `lo_open`), `hi` exclusive, None unbounded; a float must be finite.
+    On an int-tuple field it bounds each element, a tuple `lo` each element by its own bound."""
+    lo: float | tuple[int, ...] | None = None
+    hi: float | None = None
+    lo_open: bool = False
+
+    def check(self, key: str, value) -> None:
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
+        items = value if isinstance(value, (tuple, list)) else (value,)
+        los = self.lo if isinstance(self.lo, tuple) else (self.lo,) * len(items)
+        for v, lo in zip(items, los):
+            if lo is not None and (v <= lo if self.lo_open else v < lo):
+                raise ConfigError(f"{key} must be {'>' if self.lo_open else '>='} {self.lo}, "
+                                  f"got {value}")
+            if self.hi is not None and v >= self.hi:
+                raise ConfigError(f"{key} must be < {self.hi}, got {value}")
+
+
+Seed = Annotated[int, Range(0)]   # numpy's default_rng takes seeds >= 0
+Count = Annotated[int, Range(1)]
+
+
+def check_ranges(doc, prefix: str = "") -> None:
+    """A ConfigError unless each field of dataclass `doc` has the length its fixed-size tuple
+    type declares and lies in its declared Range; sections are walked, with dotted keys."""
+    hints = typing.get_type_hints(type(doc), include_extras=True)
+    for f in fields(doc):
+        value, key, hint = getattr(doc, f.name), prefix + f.name, hints[f.name]
+        if is_dataclass(value):
+            check_ranges(value, key + ".")
+        shape = typing.get_args(typing.get_args(hint)[0]) if hasattr(hint, "__metadata__") else ()
+        if shape and shape[-1] is not Ellipsis and len(value) != len(shape):
+            raise ConfigError(f"{key} must have {len(shape)} entries, got {value}")
+        for declared in getattr(hint, "__metadata__", ()):
+            declared.check(key, value)
+
+
 class ConfigDocument:
     """JSON codec for a config dataclass, driven by its fields and their types.
 
@@ -29,7 +70,7 @@ class ConfigDocument:
     value against its field's type and raises ConfigError naming the dotted
     key. A bool is not an int (so `type(v) is int`, not isinstance) and a
     string is never read as a number; an int is taken for a float field and
-    stored as a float.
+    stored as a float. Ranges are `check_ranges`'s concern.
     """
 
     def to_dict(self) -> dict:
@@ -40,22 +81,12 @@ class ConfigDocument:
         """Build from a JSON object; `key` is the section's dotted key in messages."""
         if not isinstance(d, dict):
             raise ConfigError(f"{key or cls.__name__} must be an object, got {type(d).__name__}")
-        hints = typing.get_type_hints(cls)
+        hints = typing.get_type_hints(cls)   # without extras, so Annotated is stripped
         prefix = f"{key}." if key else ""
         unknown = [k for k in d if k not in hints]
         if unknown:
             raise ConfigError(f"unknown config key(s): {[prefix + str(k) for k in unknown]}")
         return cls(**{k: _decode(hints[k], v, prefix + k) for k, v in d.items()})
-
-    def float_items(self, prefix: str = ""):
-        """(dotted key, value) of every float field, nested sections included."""
-        hints = typing.get_type_hints(type(self))
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, ConfigDocument):
-                yield from value.float_items(f"{prefix}{f.name}.")
-            elif hints[f.name] is float:
-                yield prefix + f.name, value
 
 
 def _encode(value):
@@ -84,23 +115,16 @@ def _decode(hint, value, key: str):
 
 @dataclass(frozen=True)
 class ModelConfig(ConfigDocument):
-    in_channels: int = 3
-    num_classes: int = 4
-    stem_width: int = 64
-    stage_depths: tuple[int, ...] = (3, 8, 36, 3)
-    reduction: int = 16
-    decoder_channels: tuple[int, ...] = (256, 128, 64, 32, 16)
-    seed: int = 0
+    in_channels: Count = 3
+    num_classes: Count = 4
+    stem_width: Count = 64
+    stage_depths: Annotated[tuple[int, int, int, int], Range(1)] = (3, 8, 36, 3)
+    reduction: Count = 16
+    decoder_channels: Annotated[tuple[int, int, int, int, int], Range(1)] = (256, 128, 64, 32, 16)
+    seed: Seed = 0
 
     def __post_init__(self):
-        if len(self.stage_depths) != 4:
-            raise ConfigError(f"stage_depths must have 4 entries, got {self.stage_depths}")
-        if len(self.decoder_channels) != 5:
-            raise ConfigError(f"decoder_channels must have 5 entries, got {self.decoder_channels}")
-        if any(d < 1 for d in self.stage_depths):
-            raise ConfigError(f"stage depths must be positive, got {self.stage_depths}")
-        if self.reduction < 1:
-            raise ConfigError(f"reduction must be positive, got {self.reduction}")
+        check_ranges(self, "model.")   # keyed as a run config's section
         if self.stem_width % self.reduction:
             raise ConfigError(f"stem_width {self.stem_width} not divisible by reduction {self.reduction}")
 

@@ -21,11 +21,13 @@ gain comes from keeping each chunk's operands in cache.
 
 from __future__ import annotations
 
-import math
+from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
+from .model import ConfigDocument, Range, check_ranges
 from .tensor import Tensor
 
 # elements per chunk of the in-place update: at 32K float32 values, one chunk
@@ -34,24 +36,21 @@ from .tensor import Tensor
 CHUNK = 32768
 
 
-def check_settings(lr: float, beta1: float, beta2: float, eps: float) -> None:
-    """The rule Adam's settings must meet; a ConfigError names the one broken."""
-    if not (math.isfinite(lr) and lr > 0):
-        raise ConfigError(f"learning rate must be positive and finite, got {lr}")
-    if not math.isfinite(eps):
-        raise ConfigError(f"eps must be finite, got {eps}")
-    if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-        raise ConfigError(f"betas must be in [0, 1), got {beta1}, {beta2}")
+@dataclass(frozen=True)
+class OptimizerConfig(ConfigDocument):
+    kind: str = "adam"
+    lr: Annotated[float, Range(0.0, lo_open=True)] = 1e-4
+    beta1: Annotated[float, Range(0.0, 1.0)] = 0.9
+    beta2: Annotated[float, Range(0.0, 1.0)] = 0.999
+    eps: Annotated[float, Range(0.0, lo_open=True)] = 1e-8
 
 
 class Adam:
-    def __init__(self, named_params, lr: float = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        check_settings(lr, beta1, beta2, eps)
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, named_params, lr: float = OptimizerConfig.lr,
+                 beta1: float = OptimizerConfig.beta1, beta2: float = OptimizerConfig.beta2,
+                 eps: float = OptimizerConfig.eps):
+        self.settings = OptimizerConfig(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        check_ranges(self.settings)   # by the ranges OptimizerConfig declares
         self.step_count = 0
         self.params: dict[str, Tensor] = dict(named_params)
         if not self.params:
@@ -86,7 +85,8 @@ class Adam:
                 raise ShapeError(f"gradient shape {g.shape} does not match "
                                  f"parameter '{name}' {p.data.shape}")
         self.step_count = t
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        s = self.settings
+        b1, b2, lr, eps = s.beta1, s.beta2, s.lr, s.eps
         bc1 = 1.0 - b1 ** t
         bc2 = 1.0 - b2 ** t
         # two CHUNK-sized buffers per parameter dtype, reused across chunks

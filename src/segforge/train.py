@@ -10,27 +10,27 @@ curves.csv files and checkpoints on the same platform.
 from __future__ import annotations
 
 import json
-import math
 import os
 import shutil
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Annotated, Optional
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, restore_model, save_checkpoint
 from .data import (DEFAULT_CROP, MIN_FOREGROUND_DEFAULT, MODALITIES, NUM_CLASSES,
                    TRAIN_FRACTION, SliceBatch, case_loaders, check_crop, crop_window,
-                   extract_slices, load_case, load_data_root, make_batch, split_dataset,
-                   write_volume)
+                   extract_slices, load_case, load_data_root, make_batch, parse_synth_uri,
+                   split_dataset, write_volume)
 from .errors import (ConfigError, DataError, check_output_dir, make_dirs, open_input,
                      open_output)
 from .metrics import (_confusion_matrix, _confusion_scores, cross_entropy_loss,
                       logits_to_labels, one_hot, soft_dice_loss)
-from .model import ConfigDocument, ModelConfig, PRESETS, SegmentationModel, build_model
-from .optim import Adam, check_settings
+from .model import (PRESETS, ConfigDocument, Count, ModelConfig, Range, Seed, SegmentationModel,
+                    build_model, check_ranges)
+from .optim import Adam, OptimizerConfig
 from .svol import write_svol
 from .tensor import Tensor, backward, no_grad
 
@@ -56,68 +56,49 @@ PUBLISHED_REFERENCE = {
 
 
 @dataclass(frozen=True)
-class OptimizerConfig(ConfigDocument):
-    kind: str = "adam"
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-
-@dataclass(frozen=True)
 class SplitConfig(ConfigDocument):
-    fraction: float = TRAIN_FRACTION
-    seed: int = 0
+    fraction: Annotated[float, Range()] = TRAIN_FRACTION   # (0, 1) unless val_on_train
+    seed: Seed = 0
 
 
 @dataclass(frozen=True)
 class LossConfig(ConfigDocument):
-    dice_weight: float = 1.0
-    ce_weight: float = 0.0
+    dice_weight: Annotated[float, Range(0.0)] = 1.0
+    ce_weight: Annotated[float, Range(0.0)] = 0.0
 
 
 @dataclass
 class RunConfig(ConfigDocument):
     model: ModelConfig = field(default_factory=ModelConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    epochs: int = 100
-    batch_size: int = 8
-    seed: int = 0
+    epochs: Count = 100
+    batch_size: Count = 8
+    seed: Seed = 0
     data_root: str = ""
     split: SplitConfig = field(default_factory=SplitConfig)
-    crop: tuple[int, int] = DEFAULT_CROP
+    crop: Annotated[tuple[int, int], Range(32)] = DEFAULT_CROP
     loss: LossConfig = field(default_factory=LossConfig)
-    min_foreground: float = MIN_FOREGROUND_DEFAULT
+    min_foreground: Annotated[float, Range(0.0, 1.0)] = MIN_FOREGROUND_DEFAULT
     val_on_train: bool = False
     output_dir: str = "runs/run"
 
     def validate(self) -> None:
-        for key, value in self.float_items():
-            if not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value}")
+        check_ranges(self)
         if self.optimizer.kind != "adam":
             raise ConfigError(f"unknown optimizer kind '{self.optimizer.kind}'")
-        check_settings(self.optimizer.lr, self.optimizer.beta1, self.optimizer.beta2,
-                       self.optimizer.eps)
         model = self.model
         if (model.in_channels, model.num_classes) != (len(MODALITIES), NUM_CLASSES):
             raise ConfigError(f"model.in_channels and num_classes must be {len(MODALITIES)} "
                               f"and {NUM_CLASSES}, got {model.in_channels} and {model.num_classes}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.val_on_train and not 0.0 < self.split.fraction < 1.0:
             raise ConfigError(f"split fraction must be in (0, 1), got {self.split.fraction}")
         check_crop(self.crop)
-        if self.loss.dice_weight < 0 or self.loss.ce_weight < 0:
-            raise ConfigError("loss weights must be non-negative")
         if self.loss.dice_weight == 0 and self.loss.ce_weight == 0:
             raise ConfigError("at least one loss weight must be positive")
-        if not 0.0 <= self.min_foreground < 1.0:
-            raise ConfigError(f"min_foreground must be in [0, 1), got {self.min_foreground}")
         if not self.data_root:
             raise ConfigError("data_root is required")
+        if self.data_root.startswith("synth:"):
+            parse_synth_uri(self.data_root)
         if not self.output_dir:
             raise ConfigError("output_dir is required")
 
@@ -344,12 +325,11 @@ def train(cfg: RunConfig, verbose: bool = False) -> dict:
 
 
 def _load_run(ckpt_path, batch_size: int) -> tuple[RunConfig, SegmentationModel]:
-    """A checkpoint's run config, type- and crop-checked, and its restored model; batch_size first."""
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    """A checkpoint's run config, checked as `train` checks it, and its model; batch_size first."""
+    check_ranges(RunConfig(batch_size=batch_size))   # by batch_size's declared range
     ckpt = load_checkpoint(ckpt_path, optimizer_state=False)
     cfg = RunConfig.from_dict(ckpt.config)
-    check_crop(cfg.crop)
+    cfg.validate()
     return cfg, restore_model(ckpt)
 
 

@@ -242,6 +242,18 @@ class TestEvalCommand:
             assert run_cli("eval", "--ckpt", str(bad), "--data", TINY_ROOT) == 2
             assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_stored_out_of_range_seed_is_config_error(self, cli_run, tmp_path, capsys, command):
+        ckpt = load_checkpoint(cli_run / "last.ckpt")
+        bad = tmp_path / "bad.ckpt"
+        stored = dict(ckpt.config, val_on_train=False, split=dict(ckpt.config["split"], seed=-1))
+        save_checkpoint(bad, stored, restore_model(ckpt))
+        where = (["--data", TINY_ROOT, "--split", "val", "--out", str(tmp_path / "r.json")]
+                 if command == "eval" else
+                 ["--in", str(tmp_path / "void" / "c"), "--out", str(tmp_path / "m.svol")])
+        assert run_cli(command, "--ckpt", str(bad), *where) == 2
+        assert capsys.readouterr().err.startswith("config error: split.seed must be >= 0")
+
     def test_too_few_cases_to_split_is_data_error(self, cli_run, tmp_path, capsys):
         ckpt = load_checkpoint(cli_run / "last.ckpt")
         split_ckpt = tmp_path / "split.ckpt"
@@ -380,6 +392,24 @@ class TestSynthCommand:
         assert not (tmp_path / "s").exists()
 
 
+class TestOutOfRangeValues:
+    """Each refused before anything is written: exit 2, no traceback, no output_dir."""
+
+    @pytest.mark.parametrize("argv", [
+        "synth --out {t}/s --seed -1",
+        *(f"train --preset desk --quiet --override {value} --override output_dir={{t}}/s"
+          for value in ("seed=-1", "split.seed=-1", "model.seed=-1", "model.stem_width=0",
+                        "model.decoder_channels=[0,0,0,0,0]", "optimizer.eps=-1",
+                        "optimizer.eps=0", "data_root=synth:cases=2,seed=-1",
+                        "data_root=synth:cases=0")),
+    ])
+    def test_exits_2_before_any_output(self, tmp_path, capsys, argv):
+        assert run_cli(*argv.format(t=tmp_path).split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert not (tmp_path / "s").exists()
+
+
 class TestSynthDefaults:
     """`SynthSpec` is the one home of every synthetic-case default and limit."""
 
@@ -404,12 +434,12 @@ class TestSynthDefaults:
         ("cases", 0, "0", None)])
     def test_every_entry_point_refuses_the_same_values(self, tmp_path, capsys,
                                                        key, value, flag, case_kwargs):
-        with pytest.raises(ConfigError, match=f"synth {key}|synth dataset"):
+        with pytest.raises(ConfigError, match=f"^synth {key} must be "):
             SynthSpec(**{key: value})
         if case_kwargs is not None:
-            with pytest.raises(ConfigError, match=f"synth {key}"):
+            with pytest.raises(ConfigError, match=f"^synth {key} must be "):
                 synth_case(0, **case_kwargs)
-        with pytest.raises(ConfigError, match=f"synth {key}|synth dataset"):
+        with pytest.raises(ConfigError, match=f"^synth {key} must be "):
             parse_synth_uri(f"synth:{key}={flag}")
         assert run_cli("synth", "--out", str(tmp_path / "s"), f"--{key}", flag) == 2
         assert capsys.readouterr().err.startswith("config error: synth ")
@@ -516,7 +546,7 @@ class TestUnusablePaths:
         ("load_data_root",
          f"train --preset desk --quiet --override data_root={TINY_ROOT} "
          "--override val_on_train=true --override output_dir={t}/file",
-         "train --preset desk --quiet --override data_root=synth:cases=0 "
+         "train --preset desk --quiet --override data_root={t}/void "
          "--override output_dir={t}/run"),
         ("load_checkpoint",
          f"eval --ckpt {{run}}/best.ckpt --data {TINY_ROOT} --out {{t}}/nodir/r.json",

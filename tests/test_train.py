@@ -174,9 +174,12 @@ class TestAdam:
         with pytest.raises(ConfigError):
             Adam({})
         for bad in (float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ConfigError, match="learning rate"):
+            with pytest.raises(ConfigError, match="^lr must be finite"):
                 Adam(p, lr=bad)
-            with pytest.raises(ConfigError, match="eps"):
+            with pytest.raises(ConfigError, match="^eps must be finite"):
+                Adam(p, eps=bad)
+        for bad in (0.0, -1.0):
+            with pytest.raises(ConfigError, match="^eps must be > 0"):
                 Adam(p, eps=bad)
 
 
