@@ -182,9 +182,6 @@ def apply_arrays(model: Module, ckpt: CheckpointData) -> None:
 
 def restore_model(ckpt: CheckpointData) -> SegmentationModel:
     """Rebuild the architecture from the stored config and load its weights."""
-    model_cfg = ckpt.config.get("model")
-    if model_cfg is None:
-        raise ConfigError("checkpoint config has no 'model' section")
-    model = SegmentationModel(ModelConfig.from_dict(model_cfg, "model"))
+    model = SegmentationModel(ModelConfig.from_dict(ckpt.config.get("model")))
     apply_arrays(model, ckpt)
     return model

@@ -33,14 +33,14 @@ from __future__ import annotations
 import functools
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Annotated, Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError, make_dirs
-from .model import Count, Range, Seed, check_ranges
+from .model import ConfigDocument, Count, Range, Seed
 from .nifti import read_nifti, read_spacing, write_nifti
 from .svol import read_svol, write_svol
 
@@ -443,6 +443,12 @@ def list_cases(root: str | Path) -> list[str]:
 # splits
 
 
+def _rng(seed, error: type[Exception]) -> np.random.Generator:
+    if (np.asarray(seed) < 0).any():   # an int seed, or a list of them such as [spec.seed, i]
+        raise error(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def split_dataset(case_ids, train_fraction: float = TRAIN_FRACTION,
                   seed: int = 0) -> tuple[list[str], list[str]]:
     """Deterministic case-level split; no case appears in both halves."""
@@ -454,7 +460,7 @@ def split_dataset(case_ids, train_fraction: float = TRAIN_FRACTION,
         raise ContractError("duplicate case ids in split input")
     if not 0.0 < train_fraction < 1.0:
         raise ContractError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = _rng(seed, ContractError).permutation(n)
     n_train = min(max(int(round(train_fraction * n)), 1), n - 1)
     train = sorted(ids[i] for i in perm[:n_train])
     val = sorted(ids[i] for i in perm[n_train:])
@@ -500,21 +506,19 @@ def _sample_lesions(rng: np.random.Generator, dims, num_lesions) -> list[LesionG
 
 
 @dataclass(frozen=True)
-class SynthSpec:
+class SynthSpec(ConfigDocument):
     """Every synthetic-case default; each field's range is declared in its annotation."""
+    KEY = "synth "
     cases: Count = 4
     seed: Seed = 1
     dims: Annotated[tuple[int, int, int], Range(SYNTH_MIN_DIMS)] = (12, 80, 80)
     lesions: Annotated[int, Range(0)] = 2
 
-    def __post_init__(self):
-        check_ranges(self, "synth ")
-
 
 def synth_lesion_geometry(seed, dims=SynthSpec.dims,
                           num_lesions: int = SynthSpec.lesions) -> list[LesionGeometry]:
     """Lesion centers/axes that synth_case(seed, ...) will render."""
-    return _sample_lesions(np.random.default_rng(seed), dims, num_lesions)
+    return _sample_lesions(_rng(seed, ConfigError), dims, num_lesions)
 
 
 def synth_case(seed, dims=SynthSpec.dims, num_lesions: int = SynthSpec.lesions,
@@ -524,11 +528,12 @@ def synth_case(seed, dims=SynthSpec.dims, num_lesions: int = SynthSpec.lesions,
     Each lesion is three concentric ellipsoids labeled 2 (edema, outermost),
     1, then 3 (core). Modality intensities are a per-modality base plus fixed
     per-label offsets plus Gaussian noise, exactly zero outside the brain.
-    Dims and lesions outside `SynthSpec`'s ranges are a ConfigError.
+    A negative seed, and dims or lesions `SynthSpec` refuses, are a ConfigError.
     """
-    dims = SynthSpec(dims=tuple(int(d) for d in dims), lesions=num_lesions).dims
+    dims = SynthSpec(dims=tuple(int(d) if isinstance(d, numbers.Integral) else d for d in dims),
+                     lesions=num_lesions).dims   # numpy ints as ints, a float refused
 
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed, ConfigError)
     lesions = _sample_lesions(rng, dims, num_lesions)
 
     d, h, w = dims
@@ -568,24 +573,19 @@ def synth_case(seed, dims=SynthSpec.dims, num_lesions: int = SynthSpec.lesions,
 
 
 def parse_synth_uri(uri: str) -> SynthSpec:
-    """Parse `synth:cases=4,seed=1,dims=12x80x80,lesions=2` (all keys optional), each
-    key by the type of its `SynthSpec` field: an int, or `x`-separated ints for a tuple."""
+    """Parse `synth:cases=4,seed=1,dims=12x80x80,lesions=2` (all keys optional) into a
+    `SynthSpec`, each value an int or, for a tuple, `x`-separated ints."""
     if not uri.startswith("synth:"):
         raise ConfigError(f"not a synth data root: {uri}")
-    defaults = {f.name: f.default for f in fields(SynthSpec)}
-    kwargs = {}
+    d = {}
     for entry in filter(None, uri[len("synth:"):].split(",")):
-        if "=" not in entry:
-            raise ConfigError(f"bad synth parameter '{entry}' (expected key=value)")
-        key, value = entry.split("=", 1)
-        if key not in defaults:
-            raise ConfigError(f"unknown synth parameter '{key}'")
+        key, _, value = entry.partition("=")
         try:
-            kwargs[key] = (tuple(int(v) for v in value.split("x"))
-                           if isinstance(defaults[key], tuple) else int(value))
+            ints = [int(v) for v in value.split("x")]
         except ValueError:
-            raise ConfigError(f"bad synth value '{entry}'") from None
-    return SynthSpec(**kwargs)
+            raise ConfigError(f"bad synth parameter '{entry}' (expected key=N or key=NxNxN)") from None
+        d[key] = ints if "x" in value else ints[0]
+    return SynthSpec.from_dict(d)
 
 
 def _synth_loaders(spec: SynthSpec) -> dict[str, Callable[[], VolumeSample]]:

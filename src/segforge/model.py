@@ -8,7 +8,7 @@ stage outputs) feed a nearest-upsample decoder with skip concatenation.
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
 from typing import Annotated, Optional
 
 import numpy as np
@@ -24,16 +24,14 @@ EXPANSION = 4  # bottleneck output channels = EXPANSION * mid width
 @dataclass(frozen=True)
 class Range:
     """A numeric field's range, declared in its annotation: `Annotated[int, Range(1)]`. `lo` is
-    inclusive (exclusive if `lo_open`), `hi` exclusive, None unbounded; a float must be finite.
-    On an int-tuple field it bounds each element, a tuple `lo` each element by its own bound."""
+    inclusive (exclusive if `lo_open`), `hi` exclusive, None unbounded. On an int-tuple field
+    it bounds each element, a tuple `lo` each element by its own bound."""
     lo: float | tuple[int, ...] | None = None
     hi: float | None = None
     lo_open: bool = False
 
     def check(self, key: str, value) -> None:
-        if isinstance(value, float) and not np.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {value}")
-        items = value if isinstance(value, (tuple, list)) else (value,)
+        items = value if isinstance(value, tuple) else (value,)
         los = self.lo if isinstance(self.lo, tuple) else (self.lo,) * len(items)
         for v, lo in zip(items, los):
             if lo is not None and (v <= lo if self.lo_open else v < lo):
@@ -47,46 +45,49 @@ Seed = Annotated[int, Range(0)]   # numpy's default_rng takes seeds >= 0
 Count = Annotated[int, Range(1)]
 
 
-def check_ranges(doc, prefix: str = "") -> None:
-    """A ConfigError unless each field of dataclass `doc` has the length its fixed-size tuple
-    type declares and lies in its declared Range; sections are walked, with dotted keys."""
-    hints = typing.get_type_hints(type(doc), include_extras=True)
-    for f in fields(doc):
-        value, key, hint = getattr(doc, f.name), prefix + f.name, hints[f.name]
-        if is_dataclass(value):
-            check_ranges(value, key + ".")
-        shape = typing.get_args(typing.get_args(hint)[0]) if hasattr(hint, "__metadata__") else ()
-        if shape and shape[-1] is not Ellipsis and len(value) != len(shape):
-            raise ConfigError(f"{key} must have {len(shape)} entries, got {value}")
-        for declared in getattr(hint, "__metadata__", ()):
-            declared.check(key, value)
-
-
 class ConfigDocument:
-    """JSON codec for a config dataclass, driven by its fields and their types.
+    """A config dataclass that checks itself when built, and its JSON codec.
 
-    `to_dict` emits the fields in declaration order, tuples as lists and
-    nested configs as objects, and casts no value. `from_dict` checks each
-    value against its field's type and raises ConfigError naming the dotted
-    key. A bool is not an int (so `type(v) is int`, not isinstance) and a
-    string is never read as a number; an int is taken for a float field and
-    stored as a float. Ranges are `check_ranges`'s concern.
+    However it is built, `__post_init__` checks each field by its type hint (a bool is not an
+    int, a string never a number, an int is taken for a float, a float is finite, a tuple holds
+    its declared count of ints, a section is its class) and each declared `Range`; subclasses
+    add cross-field rules after it. Messages name a field `KEY + name`; `KEY` ("model.") is not
+    a field. `from_dict` only turns JSON into fields and refuses unknown keys.
     """
+
+    KEY = ""
+
+    def __post_init__(self):
+        for name, hint in typing.get_type_hints(type(self), include_extras=True).items():
+            key, value = self.KEY + name, getattr(self, name)
+            base, *declared = typing.get_args(hint) if hasattr(hint, "__metadata__") else (hint,)
+            if typing.get_origin(base) is tuple:   # a fixed-size tuple of ints
+                n = len(typing.get_args(base))
+                if type(value) is not tuple or [type(v) for v in value] != [int] * n:
+                    raise ConfigError(f"{key} must be a tuple of {n} ints, got {value!r}")
+            elif not (type(value) is int if base is int
+                      else isinstance(value, base) or base is float and type(value) is int):
+                raise ConfigError(f"{key} must be {base.__name__}, "
+                                  f"got {type(value).__name__} {value!r}")
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
+            for r in declared:
+                r.check(key, value)
 
     def to_dict(self) -> dict:
         return {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
-    def from_dict(cls, d, key: str = ""):
-        """Build from a JSON object; `key` is the section's dotted key in messages."""
+    def from_dict(cls, d):
+        """Build from a JSON object, keyed in messages by `KEY`."""
         if not isinstance(d, dict):
-            raise ConfigError(f"{key or cls.__name__} must be an object, got {type(d).__name__}")
+            raise ConfigError(f"{cls.KEY[:-1] or cls.__name__} must be an object, "
+                              f"got {type(d).__name__}")
         hints = typing.get_type_hints(cls)   # without extras, so Annotated is stripped
-        prefix = f"{key}." if key else ""
-        unknown = [k for k in d if k not in hints]
+        unknown = [cls.KEY + str(k) for k in d if k not in hints]
         if unknown:
-            raise ConfigError(f"unknown config key(s): {[prefix + str(k) for k in unknown]}")
-        return cls(**{k: _decode(hints[k], v, prefix + k) for k, v in d.items()})
+            raise ConfigError(f"unknown config key(s): {unknown}")
+        return cls(**{k: _decode(hints[k], v) for k, v in d.items()})
 
 
 def _encode(value):
@@ -95,26 +96,17 @@ def _encode(value):
     return list(value) if isinstance(value, tuple) else value
 
 
-def _decode(hint, value, key: str):
+def _decode(hint, value):
     if isinstance(hint, type) and issubclass(hint, ConfigDocument):
-        return hint.from_dict(value, key)
-    if typing.get_origin(hint) is tuple:
-        args = typing.get_args(hint)   # (int, ...) or (int, int): only ints are used
-        size = None if args[-1] is Ellipsis else len(args)
-        if (not isinstance(value, (list, tuple)) or size not in (None, len(value))
-                or not all(type(v) is int for v in value)):
-            want = "a list of ints" if size is None else f"a list of {size} ints"
-            raise ConfigError(f"{key} must be {want}, got {value!r}")
+        return hint.from_dict(value)
+    if typing.get_origin(hint) is tuple and isinstance(value, list):
         return tuple(value)
-    if hint is float and type(value) is int:
-        return float(value)
-    if not (type(value) is int if hint is int else isinstance(value, hint)):
-        raise ConfigError(f"{key} must be {hint.__name__}, got {type(value).__name__} {value!r}")
-    return value
+    return float(value) if hint is float and type(value) is int else value
 
 
 @dataclass(frozen=True)
 class ModelConfig(ConfigDocument):
+    KEY = "model."
     in_channels: Count = 3
     num_classes: Count = 4
     stem_width: Count = 64
@@ -124,7 +116,7 @@ class ModelConfig(ConfigDocument):
     seed: Seed = 0
 
     def __post_init__(self):
-        check_ranges(self, "model.")   # keyed as a run config's section
+        super().__post_init__()
         if self.stem_width % self.reduction:
             raise ConfigError(f"stem_width {self.stem_width} not divisible by reduction {self.reduction}")
 

@@ -27,7 +27,7 @@ from typing import Annotated
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .model import ConfigDocument, Range, check_ranges
+from .model import ConfigDocument, Range
 from .tensor import Tensor
 
 # elements per chunk of the in-place update: at 32K float32 values, one chunk
@@ -38,11 +38,17 @@ CHUNK = 32768
 
 @dataclass(frozen=True)
 class OptimizerConfig(ConfigDocument):
+    KEY = "optimizer."
     kind: str = "adam"
     lr: Annotated[float, Range(0.0, lo_open=True)] = 1e-4
     beta1: Annotated[float, Range(0.0, 1.0)] = 0.9
     beta2: Annotated[float, Range(0.0, 1.0)] = 0.999
     eps: Annotated[float, Range(0.0, lo_open=True)] = 1e-8
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.kind != "adam":
+            raise ConfigError(f"unknown optimizer kind '{self.kind}'")
 
 
 class Adam:
@@ -50,7 +56,6 @@ class Adam:
                  beta1: float = OptimizerConfig.beta1, beta2: float = OptimizerConfig.beta2,
                  eps: float = OptimizerConfig.eps):
         self.settings = OptimizerConfig(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-        check_ranges(self.settings)   # by the ranges OptimizerConfig declares
         self.step_count = 0
         self.params: dict[str, Tensor] = dict(named_params)
         if not self.params:

@@ -29,7 +29,7 @@ from .errors import (ConfigError, DataError, check_output_dir, make_dirs, open_i
 from .metrics import (_confusion_matrix, _confusion_scores, cross_entropy_loss,
                       logits_to_labels, one_hot, soft_dice_loss)
 from .model import (PRESETS, ConfigDocument, Count, ModelConfig, Range, Seed, SegmentationModel,
-                    build_model, check_ranges)
+                    build_model)
 from .optim import Adam, OptimizerConfig
 from .svol import write_svol
 from .tensor import Tensor, backward, no_grad
@@ -57,17 +57,24 @@ PUBLISHED_REFERENCE = {
 
 @dataclass(frozen=True)
 class SplitConfig(ConfigDocument):
+    KEY = "split."
     fraction: Annotated[float, Range()] = TRAIN_FRACTION   # (0, 1) unless val_on_train
     seed: Seed = 0
 
 
 @dataclass(frozen=True)
 class LossConfig(ConfigDocument):
+    KEY = "loss."
     dice_weight: Annotated[float, Range(0.0)] = 1.0
     ce_weight: Annotated[float, Range(0.0)] = 0.0
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.dice_weight == 0 and self.ce_weight == 0:
+            raise ConfigError("at least one loss weight must be positive")
 
-@dataclass
+
+@dataclass(frozen=True)
 class RunConfig(ConfigDocument):
     model: ModelConfig = field(default_factory=ModelConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
@@ -82,10 +89,8 @@ class RunConfig(ConfigDocument):
     val_on_train: bool = False
     output_dir: str = "runs/run"
 
-    def validate(self) -> None:
-        check_ranges(self)
-        if self.optimizer.kind != "adam":
-            raise ConfigError(f"unknown optimizer kind '{self.optimizer.kind}'")
+    def __post_init__(self):
+        super().__post_init__()
         model = self.model
         if (model.in_channels, model.num_classes) != (len(MODALITIES), NUM_CLASSES):
             raise ConfigError(f"model.in_channels and num_classes must be {len(MODALITIES)} "
@@ -93,8 +98,8 @@ class RunConfig(ConfigDocument):
         if not self.val_on_train and not 0.0 < self.split.fraction < 1.0:
             raise ConfigError(f"split fraction must be in (0, 1), got {self.split.fraction}")
         check_crop(self.crop)
-        if self.loss.dice_weight == 0 and self.loss.ce_weight == 0:
-            raise ConfigError("at least one loss weight must be positive")
+
+    def validate(self) -> None:   # that a run can start; the build checked every field
         if not self.data_root:
             raise ConfigError("data_root is required")
         if self.data_root.startswith("synth:"):
@@ -326,7 +331,7 @@ def train(cfg: RunConfig, verbose: bool = False) -> dict:
 
 def _load_run(ckpt_path, batch_size: int) -> tuple[RunConfig, SegmentationModel]:
     """A checkpoint's run config, checked as `train` checks it, and its model; batch_size first."""
-    check_ranges(RunConfig(batch_size=batch_size))   # by batch_size's declared range
+    RunConfig(batch_size=batch_size)   # by batch_size's declared range
     ckpt = load_checkpoint(ckpt_path, optimizer_state=False)
     cfg = RunConfig.from_dict(ckpt.config)
     cfg.validate()

@@ -252,6 +252,8 @@ class TestSplit:
             split_dataset(["a", "b"], 1.0)
         with pytest.raises(ContractError):
             split_dataset(["a", "b"], 0.0)
+        with pytest.raises(ContractError, match="^seed must be >= 0, got -1"):
+            split_dataset(["a", "b"], 0.5, -1)
 
 
 class TestSynthCase:
@@ -291,6 +293,19 @@ class TestSynthCase:
             synth_case(0, dims=(8, 32, 64))
         with pytest.raises(ConfigError):
             synth_case(0, dims=(8, 64, 64), num_lesions=-1)
+
+    @pytest.mark.parametrize("seed", [-1, [1, -1]])
+    def test_a_negative_seed_is_a_config_error(self, seed):
+        with pytest.raises(ConfigError, match="^seed must be >= 0"):
+            synth_case(seed, dims=(8, 64, 64))
+        with pytest.raises(ConfigError, match="^seed must be >= 0"):
+            synth_lesion_geometry(seed)
+
+    def test_dims_must_be_integers(self):
+        with pytest.raises(ConfigError, match=r"^synth dims must be a tuple of 3 ints, got \(8.7, 64.9, 64\)"):
+            synth_case(1, dims=(8.7, 64.9, 64))
+        # numpy ints pass, as the ints a SynthSpec holds
+        assert synth_case(1, dims=np.array([8, 64, 64]), num_lesions=0).dims == (8, 64, 64)
 
     def test_lesion_voxel_count_tracks_analytic_volume(self):
         # single lesion; every shell voxel carries a nonzero label, so the

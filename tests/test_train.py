@@ -174,12 +174,12 @@ class TestAdam:
         with pytest.raises(ConfigError):
             Adam({})
         for bad in (float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ConfigError, match="^lr must be finite"):
+            with pytest.raises(ConfigError, match="^optimizer.lr must be finite"):
                 Adam(p, lr=bad)
-            with pytest.raises(ConfigError, match="^eps must be finite"):
+            with pytest.raises(ConfigError, match="^optimizer.eps must be finite"):
                 Adam(p, eps=bad)
         for bad in (0.0, -1.0):
-            with pytest.raises(ConfigError, match="^eps must be > 0"):
+            with pytest.raises(ConfigError, match="^optimizer.eps must be > 0"):
                 Adam(p, eps=bad)
 
 
@@ -389,27 +389,27 @@ class TestRunConfig:
     def test_validate_catches_each_field(self):
         base = tiny_config("out")
         bad = [
-            dict(optimizer=dataclasses.replace(base.optimizer, kind="sgd")),
-            dict(optimizer=dataclasses.replace(base.optimizer, lr=0.0)),
-            dict(epochs=0),
-            dict(batch_size=0),
-            dict(val_on_train=False, split=dataclasses.replace(base.split, fraction=1.0)),
-            dict(crop=(60, 64)),
-            dict(loss=dataclasses.replace(base.loss, dice_weight=0.0, ce_weight=0.0)),
-            dict(loss=dataclasses.replace(base.loss, dice_weight=-1.0)),
-            dict(min_foreground=1.5),
-            dict(data_root=""),
-            dict(output_dir=""),
-            dict(optimizer=dataclasses.replace(base.optimizer, beta1=1.5)),
-            dict(optimizer=dataclasses.replace(base.optimizer, beta2=1.0)),
-            dict(optimizer=dataclasses.replace(base.optimizer, beta1=-0.1)),
-            dict(model=dataclasses.replace(base.model, num_classes=3)),
-            dict(model=dataclasses.replace(base.model, num_classes=5)),
-            dict(model=dataclasses.replace(base.model, in_channels=4)),
+            lambda: dict(optimizer=dataclasses.replace(base.optimizer, kind="sgd")),
+            lambda: dict(optimizer=dataclasses.replace(base.optimizer, lr=0.0)),
+            lambda: dict(epochs=0),
+            lambda: dict(batch_size=0),
+            lambda: dict(val_on_train=False, split=dataclasses.replace(base.split, fraction=1.0)),
+            lambda: dict(crop=(60, 64)),
+            lambda: dict(loss=dataclasses.replace(base.loss, dice_weight=0.0, ce_weight=0.0)),
+            lambda: dict(loss=dataclasses.replace(base.loss, dice_weight=-1.0)),
+            lambda: dict(min_foreground=1.5),
+            lambda: dict(data_root=""),
+            lambda: dict(output_dir=""),
+            lambda: dict(optimizer=dataclasses.replace(base.optimizer, beta1=1.5)),
+            lambda: dict(optimizer=dataclasses.replace(base.optimizer, beta2=1.0)),
+            lambda: dict(optimizer=dataclasses.replace(base.optimizer, beta1=-0.1)),
+            lambda: dict(model=dataclasses.replace(base.model, num_classes=3)),
+            lambda: dict(model=dataclasses.replace(base.model, num_classes=5)),
+            lambda: dict(model=dataclasses.replace(base.model, in_channels=4)),
         ]
         for kw in bad:
             with pytest.raises(ConfigError):
-                dataclasses.replace(base, **kw).validate()
+                dataclasses.replace(base, **kw()).validate()
 
     @pytest.mark.parametrize("override", ["optimizer.beta1=1.5", "model.num_classes=3",
                                           "model.in_channels=4"])
@@ -430,9 +430,8 @@ class TestRunConfig:
                 "min_foreground"} <= set(keys)
         for key in keys:
             for value in (float("nan"), float("inf"), float("-inf")):
-                cfg = RunConfig.from_dict(with_value(key, value))
                 with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be finite"):
-                    cfg.validate()
+                    RunConfig.from_dict(with_value(key, value)).validate()
 
     def test_val_on_train_skips_fraction_check(self):
         cfg = tiny_config("out", val_on_train=True,
@@ -760,10 +759,8 @@ class TestTrainLoop:
         assert Path(second["last"]).read_bytes() == last1
 
     def test_config_errors_surface_before_data_loading(self, tmp_path):
-        cfg = tiny_config(tmp_path / "run", data_root="/definitely/not/there",
-                          epochs=0)
         with pytest.raises(ConfigError):
-            train(cfg)
+            train(tiny_config(tmp_path / "run", data_root="/definitely/not/there", epochs=0))
 
     def test_no_foreground_slices_is_a_data_error(self, tmp_path):
         cfg = tiny_config(tmp_path / "run",
